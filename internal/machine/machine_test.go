@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"coma/internal/coherence"
@@ -400,5 +401,23 @@ func TestPollutionInjectionsAppearUnderECP(t *testing.T) {
 	total := r.Total()
 	if total.InjectionsOnWrites() == 0 {
 		t.Fatal("migratory workload caused no write-triggered injections under the ECP")
+	}
+}
+
+// TestRunsLeakNoGoroutines builds and runs many small machines, as a
+// long-lived daemon does, and checks every process coroutine is gone
+// once each Run has returned (Run shuts its engine down, which stops the
+// engine's pooled idle coroutines).
+func TestRunsLeakNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	cfg := baseCfg(4, coherence.ECP)
+	cfg.App = smallApp(4_000)
+	cfg.CheckpointHz = 4000
+	for i := 0; i < 100; i++ {
+		cfg.Seed = uint64(i + 1)
+		runCfg(t, cfg)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("goroutines = %d after 100 runs, want at most %d", n, base)
 	}
 }

@@ -2,20 +2,21 @@
 // style of the CSIM library used by the paper's original simulator: time is
 // a monotonically increasing cycle counter, callbacks fire at scheduled
 // cycles, and long-running activities are written as lightweight processes
-// (one goroutine each) that block on simulated time, futures, resources and
+// (coroutines) that block on simulated time, futures, resources and
 // barriers.
 //
-// Determinism: at most one goroutine (the engine or exactly one process)
-// runs at any instant, enforced by a strict baton-passing discipline, and
-// simultaneous events fire in schedule order. Two runs with the same seed
-// and the same inputs produce identical event sequences.
+// Determinism: the caller of RunUntil is the only dispatcher. It pops
+// events in (time, schedule-order) and runs callbacks inline; a process
+// wake switches into that process's coroutine (iter.Pull) until it parks
+// again, so exactly one of the dispatcher and one process runs at any
+// instant, and no switch goes through the Go scheduler. Two runs with the
+// same seed and the same inputs produce identical event sequences.
 //
 // The hot paths are allocation-free: pending events live in a timing
 // wheel (wheel.go) of reusable slots, process wakes and typed payload
-// events (EventSink) are enum-dispatched without closures, and the
-// goroutine holding the baton dispatches subsequent events itself — a
-// process waking another process is one channel handoff, a process
-// waking itself is none.
+// events (EventSink) are enum-dispatched without closures, and finished
+// processes return their coroutine to a per-engine pool that later
+// Spawns reuse.
 package sim
 
 import (
@@ -40,24 +41,19 @@ type Engine struct {
 	nowq     []event
 	nowqHead int
 
-	// yield carries the baton back to the engine goroutine; during a run
-	// it is sent exactly once, when the run is over (queue empty, Stop,
-	// or the RunUntil limit). During Shutdown it signals each kill step.
-	yield chan struct{}
-
 	limit int64 // current run's RunUntil limit (-1: none)
 
 	procs   map[*Process]struct{}
 	nextPID int
+	idle    []*worker // finished processes' coroutines, reused by start
 
-	running  bool
-	stopped  bool
-	shutdown bool
+	running bool
+	stopped bool
 
 	events int64 // total events dispatched, for diagnostics
 
-	// safePoint, when set, runs before every event dispatch, on whichever
-	// goroutine holds the baton. The engine is quiescent at that instant —
+	// safePoint, when set, runs before every event dispatch, on the
+	// RunUntil caller's goroutine. The engine is quiescent at that instant —
 	// no callback is mid-flight — so the hook may read any simulator state
 	// reachable from the engine, but it must not schedule events, wake
 	// processes, or mutate state: the dispatch sequence of an inspected
@@ -104,7 +100,6 @@ type event struct {
 func New() *Engine {
 	return &Engine{
 		nowq:  make([]event, 0, 64),
-		yield: make(chan struct{}),
 		procs: make(map[*Process]struct{}),
 		limit: -1,
 	}
@@ -173,7 +168,7 @@ func (e *Engine) AfterSink(d int64, sink EventSink, arg int64) {
 func (e *Engine) Stop() { e.stopped = true }
 
 // SetSafePointHook installs fn to run at every dispatch safe point —
-// between events, on the baton-holding goroutine, with the engine
+// between events, on the RunUntil caller's goroutine, with the engine
 // quiescent. The hook must be read-only with respect to simulation
 // state (see the safePoint field); it is how the live-inspection layer
 // (internal/inspect) answers queries without perturbing dispatch order.
@@ -202,10 +197,10 @@ func (e *Engine) Run() (int64, error) { return e.RunUntil(-1) }
 // advance past limit (events at exactly limit still fire). A negative limit
 // means no limit.
 //
-// The engine goroutine dispatches callbacks until control first transfers
-// to a process; from then on whichever goroutine holds the baton keeps
-// dispatching (see advance), and the engine blocks until a holder finds
-// the run over and hands the baton back.
+// The calling goroutine dispatches every event: callbacks and sink events
+// run inline, and a wake or start switches into the target process's
+// coroutine until it parks or finishes. A process panic re-raises here,
+// on the caller's goroutine, with the engine no longer running.
 func (e *Engine) RunUntil(limit int64) (int64, error) {
 	if e.running {
 		return e.now, ErrNested
@@ -215,41 +210,13 @@ func (e *Engine) RunUntil(limit int64) (int64, error) {
 	e.limit = limit
 	defer func() { e.running = false }()
 
-	if e.advance(nil) == advHandoff {
-		<-e.yield
-	}
-	return e.now, nil
-}
-
-// advResult says how an advance call ended.
-type advResult uint8
-
-const (
-	// advOver: the run is over — queue empty, Stop called, or the limit
-	// reached. The engine goroutine returns from RunUntil on it; a
-	// process-side holder must hand the baton back through yield.
-	advOver advResult = iota
-	// advHandoff: the baton moved to another process goroutine.
-	advHandoff
-	// advSelf: the caller's own wake event fired (process holders only);
-	// the caller resumes user code without any channel operation.
-	advSelf
-)
-
-// advance dispatches due events on the calling goroutine — the current
-// baton holder — until the run ends or the baton must transfer.
-// Callbacks and typed sink events run inline regardless of which
-// goroutine holds the baton (exactly one goroutine runs at any instant,
-// so the single-threaded discipline is preserved); a wake of self
-// returns control to the caller's user code directly.
-func (e *Engine) advance(self *Process) advResult {
 	for {
 		if e.safePoint != nil {
 			e.safePoint(e.now)
 		}
 		ev, ok := e.next()
 		if !ok {
-			return advOver
+			return e.now, nil
 		}
 		e.now = ev.time
 		e.events++
@@ -259,14 +226,9 @@ func (e *Engine) advance(self *Process) advResult {
 		case evSink:
 			ev.sink.OnEvent(e, ev.arg)
 		case evWake:
-			if ev.proc == self {
-				return advSelf
-			}
-			ev.proc.wake <- struct{}{}
-			return advHandoff
+			ev.proc.w.resume()
 		case evStart:
-			go ev.proc.top()
-			return advHandoff
+			e.start(ev.proc)
 		}
 	}
 }
@@ -312,19 +274,20 @@ func (e *Engine) next() (event, bool) {
 	return ev, true
 }
 
-// Shutdown terminates every live process (they observe a killed signal at
-// their next — or current — blocking point) and drains their goroutines,
-// in ascending process-id order for determinism. The engine must not be
-// running. After Shutdown the engine can still inspect state but should
-// not schedule further work.
+// Shutdown terminates every live process and stops the engine's pooled
+// coroutines. Parked processes are killed in ascending process-id order
+// for determinism: each is resumed and unwinds from its blocking point
+// with its deferred calls run. Processes spawned but not yet started are
+// dropped without running. The engine must not be running. After
+// Shutdown the engine can still inspect state but should not schedule
+// further work.
 func (e *Engine) Shutdown() {
 	if e.running {
 		panic("sim: Shutdown while running")
 	}
-	e.shutdown = true
 	// Snapshot and sort once per pass instead of an O(n²) lowest-id scan;
 	// the outer loop re-collects in case an unwinding process spawns or
-	// reaps peers.
+	// parks again.
 	for len(e.procs) > 0 {
 		order := make([]*Process, 0, len(e.procs))
 		for p := range e.procs {
@@ -336,14 +299,20 @@ func (e *Engine) Shutdown() {
 				continue
 			}
 			p.killed = true
-			p.wake <- struct{}{}
-			<-e.yield
+			if p.w == nil {
+				delete(e.procs, p) // never started
+				continue
+			}
+			p.w.resume()
 		}
 	}
+	for _, w := range e.idle {
+		w.stop()
+	}
+	e.idle = nil
 }
 
-// wakeNow schedules an immediate handshake that resumes p and waits for it
-// to park again or finish.
+// wakeNow schedules an event at the current cycle that resumes p.
 func (e *Engine) wakeNow(p *Process) {
 	e.atWake(e.now, p)
 }

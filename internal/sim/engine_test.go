@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -376,5 +378,153 @@ func TestNestedRunRejected(t *testing.T) {
 	}
 	if nested != ErrNested {
 		t.Fatalf("nested Run error = %v, want ErrNested", nested)
+	}
+}
+
+// TestShutdownDropsUnstartedProcess: a process spawned in the run's last
+// cycle, whose start event never fired, has no coroutine to kill;
+// Shutdown must drop it without running it, now or in a later Run.
+func TestShutdownDropsUnstartedProcess(t *testing.T) {
+	e := New()
+	ran := false
+	e.At(5, func() {
+		e.Spawn("late", func(p *Process) { ran = true })
+		e.Stop()
+	})
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Processes() != 1 {
+		t.Fatalf("live processes = %d, want 1 (spawned, not started)", e.Processes())
+	}
+	e.Shutdown()
+	if e.Processes() != 0 {
+		t.Fatalf("live processes after shutdown = %d, want 0", e.Processes())
+	}
+	if _, err := e.Run(); err != nil { // the stale start event must not run it
+		t.Fatal(err)
+	}
+	if ran {
+		t.Error("unstarted process ran")
+	}
+}
+
+// TestProcessPanicSurfacesOnCaller: a process panic re-raises from
+// RunUntil on the caller's goroutine, where recover catches it, and the
+// engine is left consistent: not running, the crashed process gone, and
+// Shutdown still reaps the others.
+func TestProcessPanicSurfacesOnCaller(t *testing.T) {
+	e := New()
+	cleaned := false
+	e.Spawn("parked", func(p *Process) {
+		defer func() { cleaned = true }()
+		NewFuture[int]().Await(p)
+	})
+	e.Spawn("boom", func(p *Process) {
+		p.Wait(3)
+		panic("kaboom")
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		e.Run()
+		return nil
+	}()
+	if want := `sim: process "boom" panicked: kaboom`; got != want {
+		t.Fatalf("recovered %v, want %q", got, want)
+	}
+	if e.running {
+		t.Error("engine still running after the crash")
+	}
+	if e.Now() != 3 || e.Processes() != 1 {
+		t.Errorf("now = %d, processes = %d; want 3 and 1", e.Now(), e.Processes())
+	}
+	e.Shutdown()
+	if e.Processes() != 0 || !cleaned {
+		t.Errorf("after shutdown: processes = %d, cleanup ran = %v", e.Processes(), cleaned)
+	}
+}
+
+// TestRunUntilFromTwoGoroutines drives one engine in chunks, alternating
+// the RunUntil caller between two goroutines (the pattern of interactive
+// stepping), and checks the dispatch order matches a single Run.
+func TestRunUntilFromTwoGoroutines(t *testing.T) {
+	workload := func(e *Engine) *[]string {
+		order := new([]string)
+		f := NewFuture[int]()
+		e.Spawn("a", func(p *Process) {
+			for i := 0; i < 5; i++ {
+				p.Wait(7)
+				*order = append(*order, "a")
+			}
+			f.Complete(e, 1)
+		})
+		e.Spawn("b", func(p *Process) {
+			f.Await(p)
+			for i := 0; i < 5; i++ {
+				p.Wait(3)
+				*order = append(*order, "b")
+			}
+		})
+		return order
+	}
+	ref := New()
+	want := workload(ref)
+	if _, err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	e := New()
+	got := workload(e)
+	turns := [2]chan int64{make(chan int64), make(chan int64)}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range turns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for limit := range turns[g] {
+				if _, err := e.RunUntil(limit); err != nil {
+					t.Error(err)
+				}
+				done <- struct{}{}
+			}
+		}()
+	}
+	for limit := int64(0); e.Processes() > 0; limit += 4 {
+		turns[limit/4%2] <- limit
+		<-done
+	}
+	close(turns[0])
+	close(turns[1])
+	wg.Wait()
+	if joinComma(*got) != joinComma(*want) || e.Now() != ref.Now() {
+		t.Fatalf("chunked order %v at %d, want %v at %d", *got, e.Now(), *want, ref.Now())
+	}
+	e.Shutdown()
+}
+
+// TestWorkerPoolReuse: sequential short-lived processes share one pooled
+// coroutine, a finished handle lets go of it, and Shutdown stops every
+// idle coroutine.
+func TestWorkerPoolReuse(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := New()
+	var first *Process
+	for i := 0; i < 10; i++ {
+		p := e.Spawn("churn", func(p *Process) { p.Wait(1) })
+		if first == nil {
+			first = p
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(e.idle) != 1 || first.w != nil {
+		t.Fatalf("idle workers = %d, finished handle bound = %v; want 1 and false",
+			len(e.idle), first.w != nil)
+	}
+	e.Shutdown()
+	if n := runtime.NumGoroutine(); n > base || len(e.idle) != 0 {
+		t.Fatalf("goroutines = %d (want at most %d), idle = %d after shutdown", n, base, len(e.idle))
 	}
 }

@@ -1,21 +1,37 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // killedSignal is the panic value used to unwind a process terminated by
 // Engine.Shutdown. It never escapes the process wrapper.
 type killedSignal struct{}
 
-// Process is a lightweight simulated process: a goroutine that runs only
-// while it holds the engine's baton, and that blocks on simulated time
-// (Wait), futures (Await), resources (Acquire) and barriers.
+// Process is a lightweight simulated process: a coroutine that runs only
+// while the engine has resumed it, and that blocks on simulated time
+// (Wait), futures (Await), resources (Acquire) and barriers. Each Spawn
+// makes a fresh Process, so a handle never aliases a later process even
+// though the coroutine underneath is pooled.
 type Process struct {
 	eng    *Engine
 	id     int
 	name   string
 	fn     func(*Process)
-	wake   chan struct{}
+	w      *worker // nil before the start event and after fn returns
 	killed bool
+}
+
+// worker is a pooled coroutine (iter.Pull) that runs processes one after
+// another. resume switches from the engine into the worker until its
+// process parks or finishes; yield switches back. A finished process
+// returns its worker to the engine's idle pool for the next start.
+type worker struct {
+	p      *Process
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
 }
 
 // Spawn starts fn as a new process at the current simulated time. The name
@@ -23,59 +39,60 @@ type Process struct {
 // for all blocking operations.
 func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
 	e.nextPID++
-	p := &Process{
-		eng:  e,
-		id:   e.nextPID,
-		name: name,
-		fn:   fn,
-		wake: make(chan struct{}),
-	}
+	p := &Process{eng: e, id: e.nextPID, name: name, fn: fn}
 	e.procs[p] = struct{}{}
 	e.schedule(event{time: e.now, kind: evStart, proc: p})
 	return p
 }
 
-// top is the outermost frame of the process goroutine, entered holding
-// the baton (the evStart dispatcher transferred it by starting this
-// goroutine). It guarantees the baton moves on when fn returns, is
-// killed, or panics: a finished process keeps dispatching events itself
-// until the baton transfers or the run ends, and a real panic is
-// re-raised after handing the baton back so the program crashes loudly
-// rather than deadlocking.
-func (p *Process) top() {
-	e := p.eng
-	var crash any
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killedSignal); !ok {
-					crash = r
-				}
-			}
-		}()
-		p.fn(p)
-	}()
-	delete(e.procs, p)
-	if crash != nil {
-		// Re-panic on this goroutine: the process misbehaved and the
-		// whole simulation is undefined. Yield first so the engine
-		// goroutine is not left blocked when the runtime unwinds.
-		e.yield <- struct{}{}
-		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, crash))
-	}
-	if e.shutdown {
-		// Killed unwind: Shutdown's engine loop owns sequencing.
-		e.yield <- struct{}{}
+// start dispatches p's start event: it binds p to an idle worker (or a
+// new one) and runs it until it first parks or finishes. A process
+// dropped by Shutdown before it started never runs.
+func (e *Engine) start(p *Process) {
+	if p.killed {
 		return
 	}
-	// Dying holder: keep dispatching on this goroutine until the baton
-	// transfers (advHandoff, nothing more to do here) or the run is over
-	// (advOver: hand the baton back to the engine blocked in RunUntil).
-	// advSelf cannot happen — this process is out of the procs set and
-	// can have no pending wake.
-	if e.advance(nil) == advOver {
-		e.yield <- struct{}{}
+	var w *worker
+	if n := len(e.idle); n > 0 {
+		w = e.idle[n-1]
+		e.idle = e.idle[:n-1]
+	} else {
+		w = e.newWorker()
 	}
+	w.p, p.w = p, w
+	w.resume()
+}
+
+func (e *Engine) newWorker() *worker {
+	w := &worker{}
+	w.resume, w.stop = iter.Pull(func(yield func(struct{}) bool) {
+		w.yield = yield
+		for {
+			w.p.run()
+			w.p.w, w.p = nil, nil
+			e.idle = append(e.idle, w)
+			if !yield(struct{}{}) {
+				return // stopped by Shutdown while idle
+			}
+		}
+	})
+	return w
+}
+
+// run executes the process body. A kill unwinds silently; a real panic
+// is re-raised with the process name, and iter.Pull carries it out of
+// the resume call on the engine's goroutine (the RunUntil caller). The
+// worker dies with it, so only clean finishes return to the pool.
+func (p *Process) run() {
+	defer func() {
+		delete(p.eng.procs, p)
+		if r := recover(); r != nil {
+			if _, ok := r.(killedSignal); !ok {
+				panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+			}
+		}
+	}()
+	p.fn(p)
 }
 
 // Name returns the process name given at Spawn.
@@ -88,27 +105,11 @@ func (p *Process) Engine() *Engine { return p.eng }
 func (p *Process) Now() int64 { return p.eng.now }
 
 // park blocks until something wakes this process. Every blocking
-// primitive funnels through here. As the current baton holder the
-// process dispatches subsequent events itself: its own wake returns
-// without touching a channel, another process's wake is a single direct
-// handoff, and only the end of the run involves the engine goroutine.
+// primitive funnels through here: it switches back to the engine, whose
+// dispatch loop resumes this coroutine when the process's wake event
+// fires (or Shutdown kills it).
 func (p *Process) park() {
-	e := p.eng
-	if e.running {
-		switch e.advance(p) {
-		case advSelf:
-			return
-		case advOver:
-			// Hand the baton back to the engine blocked in RunUntil,
-			// then stay parked for a later run.
-			e.yield <- struct{}{}
-		}
-	} else {
-		// Outside a run (a killed process unwinding through Shutdown):
-		// hand control back to the engine's kill loop.
-		e.yield <- struct{}{}
-	}
-	<-p.wake
+	p.w.yield(struct{}{})
 	if p.killed {
 		panic(killedSignal{})
 	}
