@@ -141,7 +141,7 @@ func main() {
 	total := res.Total()
 	fmt.Printf("  reconfiguration injections:  %d\n", total.Injections[proto.InjectReconfigure])
 	fmt.Println("  value oracle:                every read matched the sequentially-consistent value")
-	fmt.Println("  invariants:                  recovery pairs complete at every commit and rollback")
+	fmt.Println("  invariants:                  the proto/invariant.go sets held at every commit and rollback")
 }
 
 // runEdgeSuite executes the staged edge scenarios, prints the coverage

@@ -1,13 +1,4 @@
-// Command comatrace records synthetic workload reference streams to
-// compact trace files and inspects them. Traces replayed through
-// comasim-style runs drive both protocols with byte-identical references
-// — the paper's methodology of comparing two simulators on the same
-// traced applications.
-//
-//	comatrace record -app mp3d -scale 0.001 -procs 16 -out traces/
-//	comatrace info traces/mp3d.3.trace
-//
-// It also analyses observability event logs written by
+// Command comatrace analyses observability event logs written by
 // comasim -trace-out (JSONL format):
 //
 //	comatrace summarize run.jsonl     per-kind counts and histograms
@@ -34,15 +25,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
-	"coma"
 	"coma/internal/obs"
 	"coma/internal/obs/receipt"
 	"coma/internal/obs/txnview"
-	"coma/internal/trace"
-	"coma/internal/workload"
 )
 
 func main() {
@@ -50,10 +37,6 @@ func main() {
 		usage()
 	}
 	switch os.Args[1] {
-	case "record":
-		record(os.Args[2:])
-	case "info":
-		info(os.Args[2:])
 	case "summarize":
 		summarize(os.Args[2:])
 	case "critpath":
@@ -73,8 +56,6 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  comatrace record -app <name> [-scale f] [-procs n] [-seed s] [-out dir]
-  comatrace info <trace-file>...
   comatrace summarize <events.jsonl>...
   comatrace critpath [-top n] <events.jsonl>...
   comatrace coverage <events.jsonl>...
@@ -362,92 +343,4 @@ func loadArtifact(path string) []byte {
 		os.Exit(1)
 	}
 	return data
-}
-
-func record(args []string) {
-	fs := flag.NewFlagSet("record", flag.ExitOnError)
-	appName := fs.String("app", "mp3d", "workload preset")
-	scale := fs.Float64("scale", 0.001, "instruction-budget scale")
-	procs := fs.Int("procs", 16, "number of processors")
-	seed := fs.Uint64("seed", 1, "workload seed")
-	out := fs.String("out", ".", "output directory")
-	_ = fs.Parse(args)
-
-	spec, ok := coma.AppByName(*appName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "comatrace: unknown app %q\n", *appName)
-		os.Exit(2)
-	}
-	if *scale > 0 {
-		spec = spec.Scale(*scale)
-	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "comatrace: %v\n", err)
-		os.Exit(1)
-	}
-	for p := 0; p < *procs; p++ {
-		path := filepath.Join(*out, fmt.Sprintf("%s.%d.trace", spec.Name, p))
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "comatrace: %v\n", err)
-			os.Exit(1)
-		}
-		n, err := trace.Record(spec.NewApp(p, *procs, *seed), f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "comatrace: %s: %v\n", path, err)
-			os.Exit(1)
-		}
-		st, _ := os.Stat(path)
-		fmt.Printf("%s: %d references, %d bytes (%.2f bytes/ref)\n",
-			path, n, st.Size(), float64(st.Size())/float64(n))
-	}
-}
-
-func info(paths []string) {
-	if len(paths) == 0 {
-		usage()
-	}
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "comatrace: %v\n", err)
-			os.Exit(1)
-		}
-		refs, err := trace.Read(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "comatrace: %s: %v\n", path, err)
-			os.Exit(1)
-		}
-		var instr, reads, writes, sreads, swrites, barriers int64
-		for _, r := range refs {
-			switch r.Kind {
-			case workload.Instr:
-				instr += r.N
-			case workload.Read:
-				instr++
-				reads++
-				if r.Shared {
-					sreads++
-				}
-			case workload.Write:
-				instr++
-				writes++
-				if r.Shared {
-					swrites++
-				}
-			case workload.Barrier:
-				barriers++
-			}
-		}
-		fmt.Printf("%s:\n", path)
-		fmt.Printf("  records   %d\n", len(refs))
-		fmt.Printf("  instr     %d\n", instr)
-		fmt.Printf("  reads     %d (%d shared)\n", reads, sreads)
-		fmt.Printf("  writes    %d (%d shared)\n", writes, swrites)
-		fmt.Printf("  barriers  %d\n", barriers)
-	}
 }

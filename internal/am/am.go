@@ -442,3 +442,14 @@ func (a *AM) Clear() {
 	a.index = make(map[proto.PageID]*frame)
 	a.allocated = 0
 }
+
+// AppendCopies appends the AM's non-Invalid copies to dst as an
+// invariant view (proto.Point.Check).
+func (a *AM) AppendCopies(dst []proto.Copy) []proto.Copy {
+	a.ForEachAllocated(func(item proto.ItemID, s *Slot) {
+		if s.State != proto.Invalid {
+			dst = append(dst, proto.Copy{Item: item, Node: a.node, State: s.State, Partner: s.Partner})
+		}
+	})
+	return dst
+}

@@ -134,7 +134,7 @@ func TestCreatePhaseFailureRestoresOldPoint(t *testing.T) {
 			t.Fatalf("item %d: restored %d, want the old recovery point's %d", it, v, 100+uint64(i))
 		}
 	}
-	if err := CheckQuiescent(r.coh); err != nil {
+	if err := Check(r.coh, proto.AtRollback); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -192,85 +192,8 @@ func TestCommitPhaseFailureKeepsNewPoint(t *testing.T) {
 			t.Fatalf("item %d: restored %d, want the new recovery point's %d", it, v, 200+uint64(i))
 		}
 	}
-	if err := CheckQuiescent(r.coh); err != nil {
+	if err := Check(r.coh, proto.AtRollback); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestInvariantCheckerAcceptsHealthyState(t *testing.T) {
-	r := newRig(t, 16)
-	r.run(func(p *sim.Process) {
-		r.coh.WriteItem(p, 0, 100, 1)
-		r.coh.ReadItem(p, 3, 100)
-		r.coh.WriteItem(p, 1, 101, 2)
-		r.establish(p, r.allNodes())
-		r.coh.ReadItem(p, 7, 100)
-	})
-	if err := CheckQuiescent(r.coh); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestInvariantCheckerCatchesDoubleOwner(t *testing.T) {
-	r := newRig(t, 16)
-	r.run(func(p *sim.Process) { r.coh.WriteItem(p, 0, 100, 1) })
-	// Forge a second Exclusive copy.
-	r.ams[5].AllocFrame(r.arch.PageOf(100), false, 0)
-	r.ams[5].Set(100, am.Slot{State: proto.Exclusive, Value: 9, Partner: proto.None})
-	err := CheckInvariants(r.coh)
-	if err == nil || !strings.Contains(err.Error(), "owner") {
-		t.Fatalf("err = %v, want double-owner violation", err)
-	}
-}
-
-func TestInvariantCheckerCatchesBrokenPair(t *testing.T) {
-	r := newRig(t, 16)
-	r.run(func(p *sim.Process) {
-		r.coh.WriteItem(p, 0, 100, 1)
-		r.establish(p, r.allNodes())
-	})
-	// Destroy the CK2 copy behind the protocol's back.
-	for n := range r.ams {
-		if r.ams[n].State(100) == proto.SharedCK2 {
-			r.ams[n].SetState(100, proto.Invalid)
-		}
-	}
-	err := CheckInvariants(r.coh)
-	if err == nil || !strings.Contains(err.Error(), "broken recovery pair") {
-		t.Fatalf("err = %v, want broken-pair violation", err)
-	}
-}
-
-func TestInvariantCheckerCatchesPartnerMismatch(t *testing.T) {
-	r := newRig(t, 16)
-	r.run(func(p *sim.Process) {
-		r.coh.WriteItem(p, 0, 100, 1)
-		r.establish(p, r.allNodes())
-	})
-	for n := range r.ams {
-		if r.ams[n].State(100) == proto.SharedCK2 {
-			r.ams[n].SetPartner(100, proto.NodeID((n+5)%16))
-		}
-	}
-	err := CheckInvariants(r.coh)
-	if err == nil || !strings.Contains(err.Error(), "partner pointer") {
-		t.Fatalf("err = %v, want partner violation", err)
-	}
-}
-
-func TestInvariantCheckerCatchesStrayPreCommit(t *testing.T) {
-	r := newRig(t, 16)
-	r.run(func(p *sim.Process) {
-		r.coh.WriteItem(p, 0, 100, 1)
-		// Create without commit leaves PreCommit copies.
-		r.coh.CreatePhase(p, 0)
-	})
-	if err := CheckInvariants(r.coh); err != nil {
-		t.Fatalf("mid-establishment state wrongly rejected by CheckInvariants: %v", err)
-	}
-	err := CheckQuiescent(r.coh)
-	if err == nil || !strings.Contains(err.Error(), "outside an establishment") {
-		t.Fatalf("err = %v, want stray pre-commit violation", err)
 	}
 }
 
@@ -281,7 +204,7 @@ func TestInvariantCheckerCatchesSharerMismatch(t *testing.T) {
 		r.coh.ReadItem(p, 3, 100)
 	})
 	r.dir.Lookup(100).Sharers.Remove(3) // forge: node 3 still holds Shared
-	err := CheckInvariants(r.coh)
+	err := Check(r.coh, proto.AtDrained)
 	if err == nil || !strings.Contains(err.Error(), "sharing set") {
 		t.Fatalf("err = %v, want sharing-set violation", err)
 	}
@@ -294,7 +217,7 @@ func TestInvariantCheckerNamesPhantomSharer(t *testing.T) {
 		r.coh.ReadItem(p, 3, 100)
 	})
 	r.dir.Lookup(100).Sharers.Add(9) // forge: node 9 holds no copy at all
-	err := CheckInvariants(r.coh)
+	err := Check(r.coh, proto.AtDrained)
 	if err == nil || !strings.Contains(err.Error(), "holds no Shared copy") ||
 		!strings.Contains(err.Error(), "9") {
 		t.Fatalf("err = %v, want phantom-sharer violation naming node 9", err)
@@ -325,7 +248,7 @@ func TestReconfigureCountsRepairs(t *testing.T) {
 	if repaired == 0 {
 		t.Fatal("nothing repaired although the dead node held recovery copies")
 	}
-	if err := CheckQuiescent(r.coh); err != nil {
+	if err := Check(r.coh, proto.AtRollback); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,167 +2,46 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
-	"coma/internal/am"
 	"coma/internal/coherence"
 	"coma/internal/proto"
 )
 
-// copySet describes every copy of one item across the machine.
-type copySet struct {
-	owners  []proto.NodeID // Exclusive / MasterShared / SharedCK1 / PreCommit1
-	shared  []proto.NodeID
-	ck      map[proto.State][]proto.NodeID
-	current int // Shared + MasterShared + Exclusive
-	excl    int
-}
-
-// CheckInvariants validates the recovery-data and coherence invariants at
-// a quiesced point (no transaction in flight):
-//
-//   - at most one owner-state copy per item, matching the directory;
-//   - Exclusive implies no other current copy;
-//   - every sharer recorded in the directory holds a Shared copy and
-//     vice versa;
-//   - recovery pairs are complete: CK1 and CK2 (of the same flavour) on
-//     two distinct live nodes with mutual partner pointers;
-//   - no transient Pre-Commit copies outside an establishment.
-//
-// It returns the first violation found, or nil.
-func CheckInvariants(coh *coherence.Engine) error {
+// Check evaluates the recovery-data invariants of protocol point at
+// (proto/invariant.go) on the live nodes' attraction memories, then
+// checks that the directory agrees with the copies: its owner is the
+// item's owner copy and its sharing set is exactly the Shared holders.
+// Items are judged in ascending order; it returns the first violation,
+// or nil.
+func Check(coh *coherence.Engine, at proto.Point) error {
 	dir := coh.Directory()
-	items := make(map[proto.ItemID]*copySet)
-	get := func(it proto.ItemID) *copySet {
-		cs := items[it]
-		if cs == nil {
-			cs = &copySet{ck: make(map[proto.State][]proto.NodeID)}
-			items[it] = cs
-		}
-		return cs
-	}
-
+	var cs []proto.Copy
 	for _, n := range dir.AliveNodes() {
-		a := coh.AM(n)
-		a.ForEachAllocated(func(it proto.ItemID, s *slotView) {
-			cs := get(it)
-			switch s.State {
-			case proto.Invalid:
-			case proto.Shared:
-				cs.shared = append(cs.shared, n)
-				cs.current++
-			case proto.MasterShared:
-				cs.owners = append(cs.owners, n)
-				cs.current++
-			case proto.Exclusive:
-				cs.owners = append(cs.owners, n)
-				cs.current++
-				cs.excl++
-			case proto.SharedCK1, proto.InvCK1, proto.PreCommit1:
-				cs.owners = appendIfOwner(cs.owners, n, s.State)
-				cs.ck[s.State] = append(cs.ck[s.State], n)
-			case proto.SharedCK2, proto.InvCK2, proto.PreCommit2:
-				cs.ck[s.State] = append(cs.ck[s.State], n)
-			}
-		})
+		cs = coh.AM(n).AppendCopies(cs)
 	}
-
-	for it, cs := range items {
-		if len(cs.owners) > 1 {
-			return fmt.Errorf("item %d has %d owner copies on %v", it, len(cs.owners), cs.owners)
+	slices.SortFunc(cs, proto.CompareCopies)
+	if vs := at.Check(nil, cs, true); len(vs) > 0 {
+		return vs[0]
+	}
+	for i, c := range cs {
+		e := dir.Lookup(c.Item)
+		switch {
+		case c.State.Owner() && e == nil:
+			return fmt.Errorf("item %d has owner %v but no directory entry", c.Item, c.Node)
+		case c.State.Owner() && e.Owner != c.Node:
+			return fmt.Errorf("item %d: directory owner %v, actual %v", c.Item, e.Owner, c.Node)
+		case c.State == proto.Shared && e != nil && !e.Sharers.Contains(c.Node):
+			return fmt.Errorf("item %d: node %v holds Shared but is not in the sharing set", c.Item, c.Node)
 		}
-		if cs.excl > 0 && cs.current > 1 {
-			return fmt.Errorf("item %d is Exclusive but has %d current copies", it, cs.current)
+		if e == nil || (i > 0 && cs[i-1].Item == c.Item) {
+			continue
 		}
-		for _, pairState := range []proto.State{proto.SharedCK1, proto.InvCK1, proto.PreCommit1} {
-			ones := cs.ck[pairState]
-			twos := cs.ck[pairState.Partner()]
-			if len(ones) > 1 || len(twos) > 1 {
-				return fmt.Errorf("item %d has duplicated recovery copies: %d x %v, %d x %v",
-					it, len(ones), pairState, len(twos), pairState.Partner())
-			}
-			if len(ones) != len(twos) {
-				return fmt.Errorf("item %d has a broken recovery pair: %v on %v, %v on %v",
-					it, pairState, ones, pairState.Partner(), twos)
-			}
-			if len(ones) == 1 {
-				n1, n2 := ones[0], twos[0]
-				if n1 == n2 {
-					return fmt.Errorf("item %d has both recovery copies on node %v", it, n1)
-				}
-				if p := coh.AM(n1).Slot(it).Partner; p != n2 {
-					return fmt.Errorf("item %d: %v partner pointer %v, want %v", it, pairState, p, n2)
-				}
-				if p := coh.AM(n2).Slot(it).Partner; p != n1 {
-					return fmt.Errorf("item %d: %v partner pointer %v, want %v",
-						it, pairState.Partner(), p, n1)
-				}
-			}
-		}
-		// A committed pair must not coexist with another committed pair
-		// of a different flavour (an item is either modified or not).
-		if len(cs.ck[proto.SharedCK1]) > 0 && len(cs.ck[proto.InvCK1]) > 0 {
-			return fmt.Errorf("item %d has both Shared-CK and Inv-CK pairs", it)
-		}
-
-		entry := dir.Lookup(it)
-		if len(cs.owners) == 1 {
-			if entry == nil {
-				return fmt.Errorf("item %d has owner %v but no directory entry", it, cs.owners[0])
-			}
-			if entry.Owner != cs.owners[0] {
-				return fmt.Errorf("item %d: directory owner %v, actual %v", it, entry.Owner, cs.owners[0])
-			}
-		}
-		if entry != nil {
-			for _, s := range cs.shared {
-				if !entry.Sharers.Contains(s) {
-					return fmt.Errorf("item %d: node %v holds Shared but is not in the sharing set", it, s)
-				}
-			}
-			holders := make(map[proto.NodeID]bool, len(cs.shared))
-			for _, h := range cs.shared {
-				holders[h] = true
-			}
-			for _, s := range entry.Sharers.Members() {
-				if !holders[s] {
-					return fmt.Errorf("item %d: node %v is in the sharing set but holds no Shared copy",
-						it, s)
-				}
+		for _, s := range e.Sharers.Members() {
+			if !dir.Alive(s) || coh.AM(s).State(c.Item) != proto.Shared {
+				return fmt.Errorf("item %d: node %v is in the sharing set but holds no Shared copy", c.Item, s)
 			}
 		}
 	}
 	return nil
 }
-
-// CheckQuiescent additionally requires that no Pre-Commit copies exist
-// (outside an establishment) and that the recovery point is complete:
-// every checkpointed item has exactly one committed pair.
-func CheckQuiescent(coh *coherence.Engine) error {
-	if err := CheckInvariants(coh); err != nil {
-		return err
-	}
-	dir := coh.Directory()
-	for _, n := range dir.AliveNodes() {
-		var found error
-		coh.AM(n).ForEachAllocated(func(it proto.ItemID, s *slotView) {
-			if found == nil && (s.State == proto.PreCommit1 || s.State == proto.PreCommit2) {
-				found = fmt.Errorf("item %d has a %v copy outside an establishment on node %v",
-					it, s.State, n)
-			}
-		})
-		if found != nil {
-			return found
-		}
-	}
-	return nil
-}
-
-func appendIfOwner(owners []proto.NodeID, n proto.NodeID, st proto.State) []proto.NodeID {
-	if st.Owner() {
-		return append(owners, n)
-	}
-	return owners
-}
-
-// slotView aliases the AM slot type for scan callbacks.
-type slotView = am.Slot

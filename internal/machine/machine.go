@@ -391,7 +391,7 @@ func (m *Machine) onCommit() {
 		}
 	}
 	if m.cfg.Invariants {
-		if err := core.CheckQuiescent(m.coh); err != nil {
+		if err := core.Check(m.coh, proto.AtCommit); err != nil {
 			m.fail(fmt.Errorf("machine: invariant violated at commit: %w", err))
 		}
 	}
@@ -433,7 +433,7 @@ func (m *Machine) onRollback(dropped []proto.ItemID, failures []core.Failure) {
 		return
 	}
 	if m.cfg.Invariants {
-		if err := core.CheckQuiescent(m.coh); err != nil {
+		if err := core.Check(m.coh, proto.AtRollback); err != nil {
 			m.fail(fmt.Errorf("machine: invariant violated after rollback: %w", err))
 		}
 	}

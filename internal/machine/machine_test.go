@@ -200,7 +200,7 @@ func TestPermanentFailureRecoversAndReconfigures(t *testing.T) {
 		t.Fatal("no reconfiguration injections")
 	}
 	// All surviving recovery pairs live on live nodes.
-	if err := core.CheckQuiescent(m.Coherence()); err != nil {
+	if err := core.Check(m.Coherence(), proto.AtSteady); err != nil {
 		t.Fatal(err)
 	}
 }

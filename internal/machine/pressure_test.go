@@ -1,13 +1,11 @@
 package machine
 
 import (
-	"bytes"
 	"testing"
 
 	"coma/internal/coherence"
 	"coma/internal/config"
 	"coma/internal/proto"
-	"coma/internal/trace"
 	"coma/internal/workload"
 )
 
@@ -86,25 +84,24 @@ func TestStandardProtocolUnderPressure(t *testing.T) {
 	}
 }
 
-// TestTraceReplayDrivesBothProtocols records every processor's reference
-// stream once and replays the byte-identical streams through the
-// standard protocol and the ECP — the paper's methodology of comparing
-// two simulators on the same traced applications.
+// TestTraceReplayDrivesBothProtocols collects every processor's reference
+// stream once and replays the identical streams through the standard
+// protocol and the ECP — the paper's methodology of comparing two
+// simulators on the same traced applications.
 func TestTraceReplayDrivesBothProtocols(t *testing.T) {
 	const nodes = 9
 	spec := workload.Water().Scale(0.002)
+	streams := make([][]workload.Ref, nodes)
+	for i := range streams {
+		g := spec.NewApp(i, nodes, 11)
+		for r := g.Next(); r.Kind != workload.End; r = g.Next() {
+			streams[i] = append(streams[i], r)
+		}
+	}
 	run := func(protocol coherence.Protocol, interval int64) *stats1 {
 		gens := make([]workload.Generator, nodes)
-		for i := 0; i < nodes; i++ {
-			var buf bytes.Buffer
-			if _, err := trace.Record(spec.NewApp(i, nodes, 11), &buf); err != nil {
-				t.Fatal(err)
-			}
-			g, err := trace.Replay("water-trace", &buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gens[i] = g
+		for i, refs := range streams {
+			gens[i] = workload.NewScript("water-trace", refs)
 		}
 		cfg := Config{
 			Arch:               config.KSR1(nodes),

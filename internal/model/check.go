@@ -80,6 +80,7 @@ type checker struct {
 	transitions int
 	stuck       int
 	violations  []Violation
+	view        []proto.Copy // invariant view, reused per state
 }
 
 type predEntry struct {
@@ -605,49 +606,25 @@ func (c *checker) ckPair(b []byte, i int) bool {
 	return c1 >= 0 && c2 >= 0 && c1 != c2
 }
 
-// checkInvariants evaluates the paper's safety invariants on one
-// reachable configuration.
+// checkInvariants evaluates the recovery-data invariants
+// (proto/invariant.go) on one reachable configuration: the steady set
+// in the normal phase, the drained set inside an establishment. The
+// packed state has no partner pointers.
 func (c *checker) checkInvariants(s mstate) {
 	b := []byte(s)
-	phase := b[0]
+	at := proto.AtDrained
+	if b[0] == phaseNormal {
+		at = proto.AtSteady
+	}
+	c.view = c.view[:0]
 	for i := 0; i < c.k; i++ {
-		owners := 0
-		counts := make(map[proto.State]int)
 		for j := 0; j < c.n; j++ {
-			st := c.at(b, i, j)
-			counts[st]++
-			if st.Owner() {
-				owners++
+			if st := c.at(b, i, j); st != proto.Invalid {
+				c.view = append(c.view, proto.Copy{Item: proto.ItemID(i), Node: proto.NodeID(j), State: st, Partner: proto.None})
 			}
 		}
-		// Single master: at most one owner-state copy per item.
-		if owners > 1 {
-			c.violate(s, fmt.Sprintf("item %d has %d owner copies", i, owners))
-		}
-		// Recovery-copy uniqueness: each kind at most once.
-		for _, st := range []proto.State{proto.SharedCK1, proto.SharedCK2,
-			proto.InvCK1, proto.InvCK2, proto.PreCommit1, proto.PreCommit2} {
-			if counts[st] > 1 {
-				c.violate(s, fmt.Sprintf("item %d has %d %v copies", i, counts[st], st))
-			}
-		}
-		// Pair completeness: the 1 and 2 copies of each recovery
-		// generation exist together or not at all (the simulator pairs
-		// them atomically under the item lock / bus tenure).
-		if (counts[proto.SharedCK1]+counts[proto.InvCK1] > 0) !=
-			(counts[proto.SharedCK2]+counts[proto.InvCK2] > 0) {
-			c.violate(s, fmt.Sprintf("item %d has a half recovery pair", i))
-		}
-		if (counts[proto.SharedCK1] > 0) != (counts[proto.SharedCK2] > 0) {
-			c.violate(s, fmt.Sprintf("item %d mixes Shared-CK and Inv-CK generations", i))
-		}
-		if (counts[proto.PreCommit1] > 0) != (counts[proto.PreCommit2] > 0) {
-			c.violate(s, fmt.Sprintf("item %d has a half pre-commit pair", i))
-		}
-		// Commit atomicity: transient pre-commit copies exist only
-		// while an establishment is in flight.
-		if phase == phaseNormal && (counts[proto.PreCommit1] > 0 || counts[proto.PreCommit2] > 0) {
-			c.violate(s, fmt.Sprintf("item %d holds pre-commit copies outside an establishment", i))
-		}
+	}
+	for _, v := range at.Check(nil, c.view, false) {
+		c.violate(s, v.Error())
 	}
 }

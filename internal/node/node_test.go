@@ -208,7 +208,7 @@ func TestCheckpointRoundsRunThroughNodeLoop(t *testing.T) {
 	if r.co.Stats().Established < 2 {
 		t.Fatalf("established = %d", r.co.Stats().Established)
 	}
-	if err := core.CheckQuiescent(r.coh); err != nil {
+	if err := core.Check(r.coh, proto.AtSteady); err != nil {
 		t.Fatal(err)
 	}
 }

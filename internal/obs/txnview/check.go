@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"coma/internal/obs"
+	"coma/internal/proto"
 )
 
 // CheckReport is the result of replaying a trace against the protocol's
@@ -39,24 +40,31 @@ func (r *CheckReport) Write(w io.Writer) error {
 // Check replays a trace and verifies the protocol invariants the paper
 // argues for:
 //
-//  1. single master — at every quiescent point (round quiesce, commit,
-//     round end, trace end) each item has at most one owner-state copy;
+//  1. the recovery-data invariants of proto/invariant.go at every
+//     drained point: the structural set (single master, exclusive
+//     alone, unique recovery copies, complete pairs, one generation) at
+//     round quiesce, checkpoint round end and trace end; plus checkpoint
+//     atomicity (no Pre-Commit and no stale Inv-CK copy) at the commit
+//     instant; plus no stray Pre-Commit and rollback persistence
+//     (exactly one owner per surviving item) at the end of a recovery
+//     round;
 //  2. fill legality — a remote fill's data came from a copy that
 //     existed when the transaction began, and a cold fill happened only
-//     when no master existed (no fill from an invalid copy);
-//  3. checkpoint atomicity — at the commit instant no transient
-//     PreCommit copy and no stale Inv-CK copy survives;
-//  4. rollback persistence — a recovery round leaves every surviving
-//     item with exactly one owner copy (the restored or promoted
-//     Shared-CK1): no master is lost across a rollback.
+//     when no master existed (no fill from an invalid copy).
 //
 // It also cross-checks every KState event against the replayed state
 // (the recorded From must match what the trace itself implies), which
 // catches corrupted, reordered or truncated traces with a precise
 // item/round diagnostic.
 func Check(events []obs.Event) *CheckReport {
-	rep := &CheckReport{Events: len(events)}
+	rep, _ := check(events)
+	return rep
+}
 
+// check is Check, also returning the replay so that Summarize can read
+// its coverage without a second pass.
+func check(events []obs.Event) (*CheckReport, *replay) {
+	rep := &CheckReport{Events: len(events)}
 	set, err := Assemble(events)
 	if err != nil {
 		rep.Violations = append(rep.Violations, err.Error())
@@ -64,22 +72,22 @@ func Check(events []obs.Event) *CheckReport {
 		rep.Txns = len(set.Txns)
 		rep.Incomplete = len(set.Incomplete())
 	}
+	r := replayTrace(events)
+	rep.Rounds = r.rounds
+	rep.Violations = append(rep.Violations, r.errs...)
+	return rep, r
+}
 
+// replayTrace replays every event, then checks the drained trace end.
+func replayTrace(events []obs.Event) *replay {
 	r := newReplay()
 	for i, ev := range events {
 		r.step(i, ev)
-		if ev.Kind == obs.KRoundEnd {
-			rep.Rounds++
-		}
 	}
-	r.checkOwnerUnique(len(events), lastTime(events), "trace end")
-	rep.Violations = append(rep.Violations, r.errs...)
-	return rep
-}
-
-func lastTime(events []obs.Event) int64 {
-	if len(events) == 0 {
-		return 0
+	var end int64
+	if len(events) > 0 {
+		end = events[len(events)-1].Time
 	}
-	return events[len(events)-1].Time
+	r.checkAt(len(events), end, "trace end", proto.AtDrained)
+	return r
 }

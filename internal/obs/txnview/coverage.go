@@ -38,11 +38,11 @@ type CoverageReport struct {
 // mean the simulator performed a transition the protocol does not
 // define.
 func Coverage(events []obs.Event) *CoverageReport {
-	r := newReplay()
-	for i, ev := range events {
-		r.step(i, ev)
-	}
+	return coverageOf(replayTrace(events).observed)
+}
 
+// coverageOf diffs an observed transition matrix against the table.
+func coverageOf(observed map[transKey]int64) *CoverageReport {
 	// The table can describe one (from,to) pair several ways (e.g. an
 	// Inv-CK copy vanishing at commit vs. moving by injection); merge
 	// the descriptions per pair.
@@ -62,16 +62,16 @@ func Coverage(events []obs.Event) *CoverageReport {
 	// diagnostics derived from them) are deterministic by construction.
 	rep := &CoverageReport{}
 	for _, k := range sortedKeys(via) {
-		e := Edge{From: k.from, To: k.to, Count: r.observed[k], Via: via[k]}
+		e := Edge{From: k.from, To: k.to, Count: observed[k], Via: via[k]}
 		if e.Count > 0 {
 			rep.Exercised = append(rep.Exercised, e)
 		} else {
 			rep.Unexercised = append(rep.Unexercised, e)
 		}
 	}
-	for _, k := range sortedKeys(r.observed) {
+	for _, k := range sortedKeys(observed) {
 		if _, ok := via[k]; !ok {
-			rep.Unexpected = append(rep.Unexpected, Edge{From: k.from, To: k.to, Count: r.observed[k]})
+			rep.Unexpected = append(rep.Unexpected, Edge{From: k.from, To: k.to, Count: observed[k]})
 		}
 	}
 	return rep

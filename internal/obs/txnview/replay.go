@@ -2,7 +2,7 @@ package txnview
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"coma/internal/obs"
 	"coma/internal/proto"
@@ -12,7 +12,8 @@ import (
 // Coverage: it tracks every item copy's coherence state across the
 // trace, synthesises the scan transforms that the simulator's bulk
 // scans perform without per-item events, and evaluates the recovery
-// invariants at quiescent points.
+// invariants (proto/invariant.go) at every drained point: round
+// quiesce, commit, round end and trace end.
 //
 // Sources of state knowledge:
 //
@@ -32,10 +33,13 @@ type replay struct {
 	// observed counts every state transition seen or synthesised.
 	observed map[transKey]int64
 
-	round int64 // current round number (0 outside rounds)
-	mode  int64 // current round mode (KRoundBegin.A)
+	round  int64 // current round number (0 outside rounds)
+	mode   int64 // current round mode (KRoundBegin.A)
+	rounds int64 // rounds completed
 
-	errs []string
+	view  []proto.Copy      // invariant view, reused at every drained point
+	found []proto.Violation // its breaches, reused likewise
+	errs  []string
 }
 
 type fillSnap struct {
@@ -163,17 +167,18 @@ func (r *replay) step(i int, ev obs.Event) {
 		r.mode = ev.A
 
 	case obs.KRoundQuiesced:
-		r.checkOwnerUnique(i, ev.Time, "quiesce")
+		r.checkAt(i, ev.Time, "quiesce", proto.AtDrained)
 
 	case obs.KCommitted:
-		r.checkOwnerUnique(i, ev.Time, "commit")
-		r.checkCommitAtomic(i, ev.Time)
+		r.checkAt(i, ev.Time, "commit", proto.AtCommit)
 
 	case obs.KRoundEnd:
-		r.checkOwnerUnique(i, ev.Time, "round end")
 		if ev.A == 1 { // recovery round
-			r.checkRecoveryPersistence(i, ev.Time)
+			r.checkAt(i, ev.Time, "recovery round end", proto.AtRollback)
+		} else {
+			r.checkAt(i, ev.Time, "round end", proto.AtDrained)
 		}
+		r.rounds++
 		r.round, r.mode = 0, 0
 	}
 }
@@ -229,97 +234,19 @@ func recoveryTransform(s proto.State) (proto.State, bool) {
 	return s, false
 }
 
-// sortedItems returns the items that currently have copies, ascending,
-// so invariant diagnostics come out in a deterministic order.
-func (r *replay) sortedItems() []proto.ItemID {
-	items := make([]proto.ItemID, 0, len(r.copies))
-	for it := range r.copies {
-		items = append(items, it)
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	return items
-}
-
-// sortedNodes returns the nodes holding copies in m, ascending.
-func sortedNodes(m map[proto.NodeID]proto.State) []proto.NodeID {
-	nodes := make([]proto.NodeID, 0, len(m))
-	for n := range m {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	return nodes
-}
-
-// checkOwnerUnique verifies the single-master invariant: at a quiescent
-// point no item may have two owner-state copies. (Mid-transaction an
-// injection legitimately holds two while the copy moves, so the check
-// only runs when the machine is drained.)
-func (r *replay) checkOwnerUnique(i int, t int64, where string) {
-	for _, item := range r.sortedItems() {
-		m := r.copies[item]
-		owners := 0
-		for _, n := range sortedNodes(m) {
-			if m[n].Owner() {
-				owners++
-			}
-		}
-		if owners > 1 {
-			r.errorf("event %d (cycle %d, round %d): item %d has %d owner copies at %s: %s",
-				i, t, r.round, item, owners, where, copyList(m))
+// checkAt evaluates the invariants of protocol point at
+// (proto/invariant.go) on the replayed copies. The trace carries no
+// partner pointers, so the view has none.
+func (r *replay) checkAt(i int, t int64, where string, at proto.Point) {
+	r.view = r.view[:0]
+	for item, m := range r.copies {
+		for n, st := range m {
+			r.view = append(r.view, proto.Copy{Item: item, Node: n, State: st, Partner: proto.None})
 		}
 	}
-}
-
-// checkCommitAtomic verifies checkpoint atomicity: at the commit
-// instant every node's scan has finished, so no transient PreCommit or
-// stale Inv-CK copy may survive.
-func (r *replay) checkCommitAtomic(i int, t int64) {
-	for _, item := range r.sortedItems() {
-		m := r.copies[item]
-		for _, n := range sortedNodes(m) {
-			switch st := m[n]; st {
-			case proto.PreCommit1, proto.PreCommit2:
-				r.errorf("event %d (cycle %d, round %d): commit atomicity: item %d still has a %v copy on node %v at commit",
-					i, t, r.round, item, st, n)
-			case proto.InvCK1, proto.InvCK2:
-				r.errorf("event %d (cycle %d, round %d): commit atomicity: item %d kept the stale %v copy on node %v past commit",
-					i, t, r.round, item, st, n)
-			case proto.Invalid, proto.Shared, proto.MasterShared, proto.Exclusive,
-				proto.SharedCK1, proto.SharedCK2:
-				// Legal at a commit point.
-			}
-		}
+	slices.SortFunc(r.view, proto.CompareCopies)
+	r.found = at.Check(r.found[:0], r.view, false)
+	for _, v := range r.found {
+		r.errorf("event %d (cycle %d, round %d): at %s: %v", i, t, r.round, where, v)
 	}
-}
-
-// checkRecoveryPersistence verifies that a rollback lost no master: at
-// the end of a recovery round every surviving item (any copy left) has
-// exactly one owner copy — the restored or promoted Shared-CK1.
-func (r *replay) checkRecoveryPersistence(i int, t int64) {
-	for _, item := range r.sortedItems() {
-		m := r.copies[item]
-		owners := 0
-		for _, n := range sortedNodes(m) {
-			if m[n].Owner() {
-				owners++
-			}
-		}
-		if owners != 1 {
-			r.errorf("event %d (cycle %d, round %d): rollback left item %d with %d owner copies (want 1): %s",
-				i, t, r.round, item, owners, copyList(m))
-		}
-	}
-}
-
-// copyList renders an item's copies ("node n2 (Shared-CK1), ...") in
-// node order.
-func copyList(m map[proto.NodeID]proto.State) string {
-	s := ""
-	for i, n := range sortedNodes(m) {
-		if i > 0 {
-			s += ", "
-		}
-		s += fmt.Sprintf("node %v (%v)", n, m[n])
-	}
-	return s
 }

@@ -19,10 +19,10 @@ type Summary struct {
 }
 
 // Summarize runs the offline invariant checker and the coverage diff
-// over one trace and condenses both reports.
+// over one trace, sharing one replay, and condenses both reports.
 func Summarize(events []obs.Event) Summary {
-	chk := Check(events)
-	cov := Coverage(events)
+	chk, r := check(events)
+	cov := coverageOf(r.observed)
 	return Summary{
 		OK:             chk.OK(),
 		Violations:     len(chk.Violations),

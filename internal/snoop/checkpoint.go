@@ -2,6 +2,7 @@ package snoop
 
 import (
 	"fmt"
+	"slices"
 
 	"coma/internal/am"
 	"coma/internal/proto"
@@ -54,7 +55,7 @@ func (m *Machine) coordinator(p *sim.Process) {
 				m.committed[k] = v
 			}
 		}
-		if err := m.CheckRecoveryPairs(); err != nil {
+		if err := m.Check(proto.AtCommit); err != nil {
 			m.fail(fmt.Errorf("snoop: at commit: %w", err))
 		}
 
@@ -218,7 +219,7 @@ func (m *Machine) recover(p *sim.Process, f proto.NodeID) {
 		g.Restore(m.genSnaps[i])
 	}
 	m.ckpt.Recoveries++
-	if err := m.CheckRecoveryPairs(); err != nil {
+	if err := m.Check(proto.AtRollback); err != nil {
 		m.fail(fmt.Errorf("snoop: after rollback: %w", err))
 	}
 
@@ -228,46 +229,20 @@ func (m *Machine) recover(p *sim.Process, f proto.NodeID) {
 	m.roundLock.Release(m.eng)
 }
 
-// CheckRecoveryPairs validates that every recovery copy is part of a
-// complete pair on distinct nodes with mutual partner pointers.
-func (m *Machine) CheckRecoveryPairs() error {
-	type pair struct{ ck1, ck2 proto.NodeID }
-	pairs := make(map[proto.ItemID]*pair)
-	get := func(it proto.ItemID) *pair {
-		pr := pairs[it]
-		if pr == nil {
-			pr = &pair{ck1: proto.None, ck2: proto.None}
-			pairs[it] = pr
-		}
-		return pr
+// Check evaluates the recovery-data invariants of protocol point at
+// (proto/invariant.go) on every attraction memory and returns the first
+// violation (items in ascending order), or nil.
+func (m *Machine) Check(at proto.Point) error {
+	var cs []proto.Copy
+	for _, a := range m.ams {
+		cs = a.AppendCopies(cs)
 	}
-	for i := range m.ams {
-		n := proto.NodeID(i)
-		m.ams[i].ForEachAllocated(func(it proto.ItemID, s *am.Slot) {
-			switch s.State {
-			case proto.SharedCK1, proto.InvCK1:
-				get(it).ck1 = n
-			case proto.SharedCK2, proto.InvCK2:
-				get(it).ck2 = n
-			case proto.Invalid, proto.Shared, proto.MasterShared, proto.Exclusive,
-				proto.PreCommit1, proto.PreCommit2:
-				// Only committed recovery pairs are audited here.
-			}
-		})
-	}
-	for it, pr := range pairs {
-		if pr.ck1 == proto.None || pr.ck2 == proto.None {
-			return fmt.Errorf("item %d has a broken recovery pair (%v,%v)", it, pr.ck1, pr.ck2)
-		}
-		if pr.ck1 == pr.ck2 {
-			return fmt.Errorf("item %d has both recovery copies on %v", it, pr.ck1)
-		}
-		if p1 := m.ams[pr.ck1].Slot(it).Partner; p1 != pr.ck2 {
-			return fmt.Errorf("item %d: CK1 partner %v, want %v", it, p1, pr.ck2)
-		}
-		if p2 := m.ams[pr.ck2].Slot(it).Partner; p2 != pr.ck1 {
-			return fmt.Errorf("item %d: CK2 partner %v, want %v", it, p2, pr.ck1)
-		}
+	slices.SortFunc(cs, proto.CompareCopies)
+	if vs := at.Check(nil, cs, true); len(vs) > 0 {
+		return vs[0]
 	}
 	return nil
 }
+
+// AM returns node n's attraction memory.
+func (m *Machine) AM(n proto.NodeID) *am.AM { return m.ams[n] }

@@ -77,7 +77,7 @@ func TestBusECPEstablishesAndPairs(t *testing.T) {
 	if total.CkptItemsReplicated == 0 {
 		t.Fatal("nothing replicated")
 	}
-	if err := m.CheckRecoveryPairs(); err != nil {
+	if err := m.Check(proto.AtSteady); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -121,7 +121,7 @@ func TestBusTransientFailureRecovers(t *testing.T) {
 	if reconf == 0 {
 		t.Fatal("no reconfiguration after memory loss")
 	}
-	if err := m.CheckRecoveryPairs(); err != nil {
+	if err := m.Check(proto.AtSteady); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -98,18 +99,7 @@ func TestInstructionBudgetSplitAcrossProcs(t *testing.T) {
 }
 
 func TestDeterminismAcrossRuns(t *testing.T) {
-	mk := func() []Ref {
-		g := Mp3d().Scale(0.0005).NewApp(2, 8, 7)
-		var out []Ref
-		for {
-			r := g.Next()
-			out = append(out, r)
-			if r.Kind == End {
-				return out
-			}
-		}
-	}
-	a, b := mk(), mk()
+	a, b := stream(Mp3d().Scale(0.0005), 2, 8, 7), stream(Mp3d().Scale(0.0005), 2, 8, 7)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -117,6 +107,64 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("streams diverge at %d: %+v vs %+v", i, a[i], b[i])
 		}
+	}
+}
+
+// stream drains one processor's whole reference stream.
+func stream(spec Spec, proc, procs int, seed uint64) []Ref {
+	g := spec.NewApp(proc, procs, seed)
+	var out []Ref
+	for {
+		r := g.Next()
+		out = append(out, r)
+		if r.Kind == End {
+			return out
+		}
+	}
+}
+
+func detSpec() Spec {
+	return Spec{
+		Name:            "det",
+		Instructions:    40_000,
+		ReadFrac:        0.20,
+		WriteFrac:       0.10,
+		SharedReadFrac:  0.10,
+		SharedWriteFrac: 0.05,
+		SharedBytes:     64 << 10,
+		PrivateBytes:    16 << 10,
+		ReadOnlyFrac:    0.3,
+		Locality:        0.4,
+		HotBytes:        512,
+		WindowBytes:     512,
+		DriftInstr:      5_000,
+		Barriers:        3,
+	}
+}
+
+// TestRefStreamIsIdenticalAcrossRuns pins the strongest form of the
+// determinism contract: a reference stream is a pure function of (spec,
+// proc, seed), so two independent generators emit identical streams,
+// not merely matching aggregate statistics.
+func TestRefStreamIsIdenticalAcrossRuns(t *testing.T) {
+	for proc := 0; proc < 3; proc++ {
+		a, b := stream(detSpec(), proc, 4, 77), stream(detSpec(), proc, 4, 77)
+		if !slices.Equal(a, b) {
+			t.Fatalf("proc %d: same seed produced different streams (%d vs %d refs)", proc, len(a), len(b))
+		}
+		if len(a) < 2 {
+			t.Fatalf("proc %d: empty stream", proc)
+		}
+	}
+}
+
+func TestRefStreamVariesWithSeedAndProc(t *testing.T) {
+	base := stream(detSpec(), 0, 4, 77)
+	if slices.Equal(base, stream(detSpec(), 0, 4, 78)) {
+		t.Fatal("different seeds produced identical streams")
+	}
+	if slices.Equal(base, stream(detSpec(), 1, 4, 77)) {
+		t.Fatal("different processors produced identical streams")
 	}
 }
 
