@@ -41,12 +41,13 @@ func main() {
 			log.Fatal(err)
 		}
 
+		arch := config.KSR1(nodes)
 		busMachine, err := snoop.New(snoop.Config{
-			Arch:               config.KSR1(nodes),
+			Arch:               arch,
 			FaultTolerant:      true,
 			App:                app.Scale(0.01),
 			Seed:               9,
-			CheckpointInterval: config.KSR1(nodes).CheckpointIntervalCycles(400),
+			CheckpointInterval: arch.CheckpointIntervalCycles(400),
 			Oracle:             true,
 			MaxCycles:          1 << 40,
 		})

@@ -28,9 +28,8 @@ type Slot struct {
 	Partner proto.NodeID
 }
 
+// frame is one page frame; its page is the matching entry of AM.tags.
 type frame struct {
-	page          proto.PageID
-	valid         bool
 	irreplaceable bool
 	// evicting marks a frame whose pinned items are being injected away
 	// by an in-flight replacement; it must not accept new copies.
@@ -56,9 +55,16 @@ type Stats struct {
 type AM struct {
 	arch config.Arch
 	node proto.NodeID
-	sets [][]frame
-	// index maps an allocated page to its frame for O(1) lookup.
-	index map[proto.PageID]*frame
+	sets int
+	ways int
+	// itemsPerPage is arch.ItemsPerPage(), computed once.
+	itemsPerPage proto.ItemID
+	// tags holds the page in every way, one row of ways per set
+	// (set s, way w at s*ways+w), NoPage marking a free way. A lookup
+	// scans the row of page % sets, as the hardware compares the tags
+	// of one set. frames is laid out the same way.
+	tags   []proto.PageID
+	frames []frame
 
 	allocated int
 	stats     Stats
@@ -77,18 +83,19 @@ func (a *AM) SetStateHook(fn func(item proto.ItemID, from, to proto.State)) {
 
 // New builds an empty attraction memory for the node.
 func New(arch config.Arch, node proto.NodeID) *AM {
+	n := arch.AMSets() * arch.AMWays
 	a := &AM{
-		arch:  arch,
-		node:  node,
-		sets:  make([][]frame, arch.AMSets()),
-		index: make(map[proto.PageID]*frame),
+		arch:         arch,
+		node:         node,
+		sets:         arch.AMSets(),
+		ways:         arch.AMWays,
+		itemsPerPage: proto.ItemID(arch.ItemsPerPage()),
+		tags:         make([]proto.PageID, n),
+		frames:       make([]frame, n),
 	}
-	for i := range a.sets {
-		ways := make([]frame, arch.AMWays)
-		for w := range ways {
-			ways[w].slots = make([]Slot, arch.ItemsPerPage())
-		}
-		a.sets[i] = ways
+	for i := range a.frames {
+		a.tags[i] = proto.NoPage
+		a.frames[i].slots = make([]Slot, arch.ItemsPerPage())
 	}
 	return a
 }
@@ -102,41 +109,64 @@ func (a *AM) Stats() Stats { return a.stats }
 // AllocatedFrames returns the number of currently allocated page frames.
 func (a *AM) AllocatedFrames() int { return a.allocated }
 
-func (a *AM) setIndex(page proto.PageID) int {
-	return int(page) % len(a.sets)
+// setRow returns the index of way 0 of the page's set in tags/frames.
+func (a *AM) setRow(page proto.PageID) int {
+	return int(uint32(page)%uint32(a.sets)) * a.ways
 }
 
-func (a *AM) frameFor(item proto.ItemID) *frame {
-	return a.index[a.arch.PageOf(item)]
-}
-
-func (a *AM) slotFor(item proto.ItemID) *Slot {
-	f := a.frameFor(item)
-	if f == nil {
-		return nil
+// way returns the page's index in tags/frames, or -1 when the page is
+// not allocated (always for a negative page such as NoPage).
+func (a *AM) way(page proto.PageID) int {
+	if page < 0 {
+		return -1
 	}
-	return &f.slots[a.arch.ItemIndexInPage(item)]
+	row := a.setRow(page)
+	for w, tag := range a.tags[row : row+a.ways] {
+		if tag == page {
+			return row + w
+		}
+	}
+	return -1
+}
+
+// lookup returns the page's frame, or nil when it is not allocated.
+func (a *AM) lookup(page proto.PageID) *frame {
+	if i := a.way(page); i >= 0 {
+		return &a.frames[i]
+	}
+	return nil
+}
+
+// slotFor returns the item's frame and slot, or nils when its page is
+// not allocated. It splits the item as Arch.PageOf and
+// Arch.ItemIndexInPage do, in 32-bit arithmetic.
+func (a *AM) slotFor(item proto.ItemID) (*frame, *Slot) {
+	f := a.lookup(proto.PageID(item / a.itemsPerPage))
+	if f == nil {
+		return nil, nil
+	}
+	return f, &f.slots[item%a.itemsPerPage]
 }
 
 // HasFrame reports whether the page is allocated.
-func (a *AM) HasFrame(page proto.PageID) bool { return a.index[page] != nil }
+func (a *AM) HasFrame(page proto.PageID) bool { return a.lookup(page) != nil }
 
 // Irreplaceable reports whether the page's frame is an anchor frame.
 func (a *AM) Irreplaceable(page proto.PageID) bool {
-	f := a.index[page]
+	f := a.lookup(page)
 	return f != nil && f.irreplaceable
 }
 
 // Evicting reports whether the page's frame is mid-replacement.
 func (a *AM) Evicting(page proto.PageID) bool {
-	f := a.index[page]
+	f := a.lookup(page)
 	return f != nil && f.evicting
 }
 
 // SetEvicting marks or unmarks a frame as mid-replacement. The frame
 // must be allocated.
 func (a *AM) SetEvicting(page proto.PageID, v bool) {
-	f := a.index[page]
+	f := a.lookup(page)
 	if f == nil {
 		panic(fmt.Sprintf("am: SetEvicting(%d) on node %v without a frame", page, a.node))
 	}
@@ -145,7 +175,7 @@ func (a *AM) SetEvicting(page proto.PageID, v bool) {
 
 // Touch updates the frame's LRU stamp.
 func (a *AM) Touch(page proto.PageID, now int64) {
-	if f := a.index[page]; f != nil {
+	if f := a.lookup(page); f != nil {
 		f.lastUse = now
 	}
 }
@@ -153,7 +183,7 @@ func (a *AM) Touch(page proto.PageID, now int64) {
 // State returns the item's coherence state (Invalid when the page is not
 // allocated).
 func (a *AM) State(item proto.ItemID) proto.State {
-	s := a.slotFor(item)
+	_, s := a.slotFor(item)
 	if s == nil {
 		return proto.Invalid
 	}
@@ -162,7 +192,7 @@ func (a *AM) State(item proto.ItemID) proto.State {
 
 // Slot returns a copy of the item's slot (zero Slot when unallocated).
 func (a *AM) Slot(item proto.ItemID) Slot {
-	s := a.slotFor(item)
+	_, s := a.slotFor(item)
 	if s == nil {
 		return Slot{State: proto.Invalid, Partner: proto.None}
 	}
@@ -172,13 +202,11 @@ func (a *AM) Slot(item proto.ItemID) Slot {
 // Set installs state, value and partner for an item. The page frame must
 // be allocated. Modified-item bookkeeping is maintained.
 func (a *AM) Set(item proto.ItemID, slot Slot) {
-	f := a.frameFor(item)
+	f, old := a.slotFor(item)
 	if f == nil {
 		panic(fmt.Sprintf("am: Set(%d) on node %v without a frame for page %d",
 			item, a.node, a.arch.PageOf(item)))
 	}
-	idx := a.arch.ItemIndexInPage(item)
-	old := &f.slots[idx]
 	if old.State.Modified() {
 		f.modified--
 	}
@@ -193,11 +221,10 @@ func (a *AM) Set(item proto.ItemID, slot Slot) {
 
 // SetState changes only the coherence state, preserving value and partner.
 func (a *AM) SetState(item proto.ItemID, st proto.State) {
-	s := a.slotFor(item)
-	if s == nil {
+	f, s := a.slotFor(item)
+	if f == nil {
 		panic(fmt.Sprintf("am: SetState(%d) on node %v without a frame", item, a.node))
 	}
-	f := a.frameFor(item)
 	if s.State.Modified() {
 		f.modified--
 	}
@@ -212,7 +239,7 @@ func (a *AM) SetState(item proto.ItemID, st proto.State) {
 
 // SetPartner records the recovery-pair partner for an item.
 func (a *AM) SetPartner(item proto.ItemID, partner proto.NodeID) {
-	s := a.slotFor(item)
+	_, s := a.slotFor(item)
 	if s == nil {
 		panic(fmt.Sprintf("am: SetPartner(%d) on node %v without a frame", item, a.node))
 	}
@@ -221,9 +248,9 @@ func (a *AM) SetPartner(item proto.ItemID, partner proto.NodeID) {
 
 // FreeWay reports whether the page's set has an unallocated way.
 func (a *AM) FreeWay(page proto.PageID) bool {
-	set := a.sets[a.setIndex(page)]
-	for w := range set {
-		if !set[w].valid {
+	row := a.setRow(page)
+	for _, tag := range a.tags[row : row+a.ways] {
+		if tag == proto.NoPage {
 			return true
 		}
 	}
@@ -234,24 +261,22 @@ func (a *AM) FreeWay(page proto.PageID) bool {
 // the page is already allocated or no way is free (callers must first
 // evict via VictimPage/DropFrame).
 func (a *AM) AllocFrame(page proto.PageID, irreplaceable bool, now int64) {
-	if a.index[page] != nil {
+	if a.lookup(page) != nil {
 		panic(fmt.Sprintf("am: page %d already allocated on node %v", page, a.node))
 	}
-	set := a.sets[a.setIndex(page)]
-	for w := range set {
-		f := &set[w]
-		if f.valid {
+	row := a.setRow(page)
+	for i := row; i < row+a.ways; i++ {
+		if a.tags[i] != proto.NoPage {
 			continue
 		}
-		f.valid = true
-		f.page = page
+		a.tags[i] = page
+		f := &a.frames[i]
 		f.irreplaceable = irreplaceable
 		f.lastUse = now
 		f.modified = 0
 		for i := range f.slots {
 			f.slots[i] = Slot{State: proto.Invalid, Partner: proto.None}
 		}
-		a.index[page] = f
 		a.allocated++
 		a.stats.FramesAllocated++
 		if a.allocated > a.stats.PeakFrames {
@@ -265,7 +290,7 @@ func (a *AM) AllocFrame(page proto.PageID, irreplaceable bool, now int64) {
 // MarkIrreplaceable pins an already-allocated frame (a page that becomes
 // an anchor after the fact, e.g. during reconfiguration).
 func (a *AM) MarkIrreplaceable(page proto.PageID) {
-	f := a.index[page]
+	f := a.lookup(page)
 	if f == nil {
 		panic(fmt.Sprintf("am: MarkIrreplaceable(%d) on node %v without a frame", page, a.node))
 	}
@@ -287,24 +312,25 @@ func (a *AM) VictimPage(page proto.PageID) (victim proto.PageID, ok bool) {
 // first, so callers can skip candidates busy with in-flight
 // transactions.
 func (a *AM) VictimPages(page proto.PageID) []proto.PageID {
-	set := a.sets[a.setIndex(page)]
-	cand := make([]*frame, 0, len(set))
-	for w := range set {
-		f := &set[w]
-		if !f.valid || f.irreplaceable || f.evicting {
+	row := a.setRow(page)
+	cand := make([]int, 0, a.ways)
+	for i := row; i < row+a.ways; i++ {
+		f := &a.frames[i]
+		if a.tags[i] == proto.NoPage || f.irreplaceable || f.evicting {
 			continue
 		}
-		cand = append(cand, f)
+		cand = append(cand, i)
 	}
 	sort.Slice(cand, func(i, j int) bool {
-		if cand[i].lastUse != cand[j].lastUse {
-			return cand[i].lastUse < cand[j].lastUse
+		fi, fj := &a.frames[cand[i]], &a.frames[cand[j]]
+		if fi.lastUse != fj.lastUse {
+			return fi.lastUse < fj.lastUse
 		}
-		return cand[i].page < cand[j].page
+		return a.tags[cand[i]] < a.tags[cand[j]]
 	})
 	out := make([]proto.PageID, len(cand))
-	for i, f := range cand {
-		out[i] = f.page
+	for i, c := range cand {
+		out[i] = a.tags[c]
 	}
 	return out
 }
@@ -313,7 +339,7 @@ func (a *AM) VictimPages(page proto.PageID) []proto.PageID {
 // replacement (masters and recovery copies): the caller must inject them
 // before DropFrame.
 func (a *AM) PinnedItems(page proto.PageID) []proto.ItemID {
-	f := a.index[page]
+	f := a.lookup(page)
 	if f == nil {
 		return nil
 	}
@@ -330,20 +356,20 @@ func (a *AM) PinnedItems(page proto.PageID) []proto.ItemID {
 // DropFrame deallocates the page's frame. Every item must be in a
 // replaceable state (Invalid or Shared); it panics otherwise.
 func (a *AM) DropFrame(page proto.PageID) {
-	f := a.index[page]
-	if f == nil {
+	i := a.way(page)
+	if i < 0 {
 		panic(fmt.Sprintf("am: DropFrame(%d) on node %v without a frame", page, a.node))
 	}
+	f := &a.frames[i]
 	for i := range f.slots {
 		if !f.slots[i].State.Replaceable() {
 			panic(fmt.Sprintf("am: DropFrame(%d) on node %v would lose item %d in %v",
 				page, a.node, int(a.arch.FirstItem(page))+i, f.slots[i].State))
 		}
 	}
-	f.valid = false
+	a.tags[i] = proto.NoPage
 	f.irreplaceable = false
 	f.evicting = false
-	delete(a.index, page)
 	a.allocated--
 	a.stats.FramesDropped++
 }
@@ -354,17 +380,15 @@ func (a *AM) DropFrame(page proto.PageID) {
 // number of frames plus the number of modified items, mirroring the
 // paper's tree of modified-line indicators.
 func (a *AM) ModifiedItems(dst []proto.ItemID) []proto.ItemID {
-	for si := range a.sets {
-		for w := range a.sets[si] {
-			f := &a.sets[si][w]
-			if !f.valid || f.modified == 0 {
-				continue
-			}
-			first := a.arch.FirstItem(f.page)
-			for i := range f.slots {
-				if f.slots[i].State.Modified() {
-					dst = append(dst, first+proto.ItemID(i))
-				}
+	for fi, page := range a.tags {
+		f := &a.frames[fi]
+		if page == proto.NoPage || f.modified == 0 {
+			continue
+		}
+		first := a.arch.FirstItem(page)
+		for i, s := range f.slots {
+			if s.State.Modified() {
+				dst = append(dst, first+proto.ItemID(i))
 			}
 		}
 	}
@@ -375,23 +399,21 @@ func (a *AM) ModifiedItems(dst []proto.ItemID) []proto.ItemID {
 // deterministic order. fn may mutate state via the AM's setters but must
 // not allocate or drop frames.
 func (a *AM) ForEachAllocated(fn func(item proto.ItemID, slot *Slot)) {
-	for si := range a.sets {
-		for w := range a.sets[si] {
-			f := &a.sets[si][w]
-			if !f.valid {
-				continue
-			}
-			first := a.arch.FirstItem(f.page)
-			for i := range f.slots {
-				before := f.slots[i].State.Modified()
-				fn(first+proto.ItemID(i), &f.slots[i])
-				after := f.slots[i].State.Modified()
-				if before != after {
-					if after {
-						f.modified++
-					} else {
-						f.modified--
-					}
+	for fi, page := range a.tags {
+		if page == proto.NoPage {
+			continue
+		}
+		f := &a.frames[fi]
+		first := a.arch.FirstItem(page)
+		for i := range f.slots {
+			before := f.slots[i].State.Modified()
+			fn(first+proto.ItemID(i), &f.slots[i])
+			after := f.slots[i].State.Modified()
+			if before != after {
+				if after {
+					f.modified++
+				} else {
+					f.modified--
 				}
 			}
 		}
@@ -401,11 +423,9 @@ func (a *AM) ForEachAllocated(fn func(item proto.ItemID, slot *Slot)) {
 // AllocatedPages returns the allocated page IDs in deterministic order.
 func (a *AM) AllocatedPages() []proto.PageID {
 	out := make([]proto.PageID, 0, a.allocated)
-	for si := range a.sets {
-		for w := range a.sets[si] {
-			if a.sets[si][w].valid {
-				out = append(out, a.sets[si][w].page)
-			}
+	for _, page := range a.tags {
+		if page != proto.NoPage {
+			out = append(out, page)
 		}
 	}
 	return out
@@ -424,22 +444,19 @@ func (a *AM) StateCounts() map[proto.State]int {
 // Clear wipes the whole memory (a transient node failure loses AM
 // contents; the node rejoins empty).
 func (a *AM) Clear() {
-	for si := range a.sets {
-		for w := range a.sets[si] {
-			f := &a.sets[si][w]
-			if f.valid {
-				a.stats.FramesDropped++
-			}
-			f.valid = false
-			f.irreplaceable = false
-			f.evicting = false
-			f.modified = 0
-			for i := range f.slots {
-				f.slots[i] = Slot{State: proto.Invalid, Partner: proto.None}
-			}
+	for fi := range a.frames {
+		if a.tags[fi] != proto.NoPage {
+			a.stats.FramesDropped++
+		}
+		a.tags[fi] = proto.NoPage
+		f := &a.frames[fi]
+		f.irreplaceable = false
+		f.evicting = false
+		f.modified = 0
+		for i := range f.slots {
+			f.slots[i] = Slot{State: proto.Invalid, Partner: proto.None}
 		}
 	}
-	a.index = make(map[proto.PageID]*frame)
 	a.allocated = 0
 }
 

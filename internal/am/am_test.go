@@ -249,3 +249,82 @@ func TestAllocatedPagesDeterministicOrder(t *testing.T) {
 		}
 	}
 }
+
+func TestNoPageAndUnallocatedLookups(t *testing.T) {
+	a, arch := newAM()
+	a.AllocFrame(0, false, 1)
+	if a.HasFrame(proto.NoPage) || a.Irreplaceable(proto.NoPage) || a.Evicting(proto.NoPage) {
+		t.Fatal("NoPage reported a frame")
+	}
+	if a.PinnedItems(proto.NoPage) != nil {
+		t.Fatal("NoPage reported pinned items")
+	}
+	a.Touch(proto.NoPage, 5) // must not panic
+	// Page 32 shares page 0's set (32 sets) but is not allocated.
+	item := arch.FirstItem(32) + 3
+	if st := a.State(item); st != proto.Invalid {
+		t.Fatalf("state of an item on an unallocated page = %v, want Invalid", st)
+	}
+	if s := a.Slot(item); s.State != proto.Invalid || s.Partner != proto.None {
+		t.Fatalf("slot of an item on an unallocated page = %+v", s)
+	}
+}
+
+func TestClearResetsEveryTag(t *testing.T) {
+	a, arch := newAM()
+	sets := arch.AMSets()
+	// Fill set 0 completely and one way of every other set.
+	for w := 0; w < arch.AMWays; w++ {
+		a.AllocFrame(proto.PageID(w*sets), false, int64(w))
+	}
+	for s := 1; s < sets; s++ {
+		a.AllocFrame(proto.PageID(s), false, 0)
+	}
+	a.Clear()
+	if len(a.AllocatedPages()) != 0 {
+		t.Fatalf("pages after Clear = %v", a.AllocatedPages())
+	}
+	for s := 0; s < sets; s++ {
+		if !a.FreeWay(proto.PageID(s)) {
+			t.Fatalf("set %d has no free way after Clear", s)
+		}
+	}
+	for w := 0; w < arch.AMWays; w++ {
+		if a.HasFrame(proto.PageID(w * sets)) {
+			t.Fatalf("page %d still has a frame after Clear", w*sets)
+		}
+		// Every way of set 0 is free again.
+		a.AllocFrame(proto.PageID(w*sets+sets*arch.AMWays), false, 0)
+	}
+}
+
+func TestDropThenAllocReusesTheWay(t *testing.T) {
+	a, arch := newAM()
+	sets := proto.PageID(arch.AMSets())
+	for w := 0; w < arch.AMWays; w++ {
+		a.AllocFrame(proto.PageID(w)*sets, false, int64(w))
+	}
+	if a.FreeWay(0) {
+		t.Fatal("full set reports a free way")
+	}
+	before := a.AllocatedPages()
+	a.DropFrame(5 * sets)
+	a.AllocFrame(99*sets, false, 100)
+	after := a.AllocatedPages()
+	// Pages are listed in way order: the new page took the freed way.
+	for i := range before {
+		want := before[i]
+		if want == 5*sets {
+			want = 99 * sets
+		}
+		if after[i] != want {
+			t.Fatalf("pages after drop+alloc = %v, want way %d reused by page %d", after, i, 99*sets)
+		}
+	}
+	if a.HasFrame(5*sets) || !a.HasFrame(99*sets) {
+		t.Fatal("drop+alloc left the wrong frames")
+	}
+	if a.State(arch.FirstItem(99*sets)) != proto.Invalid {
+		t.Fatal("reused way kept the dropped page's state")
+	}
+}

@@ -31,3 +31,21 @@ func BenchmarkModifiedItemsScan(b *testing.B) {
 		buf = a.ModifiedItems(buf[:0])
 	}
 }
+
+// BenchmarkAMLookupMiss probes a page that is absent from a full set, so
+// every lookup compares all the set's ways.
+func BenchmarkAMLookupMiss(b *testing.B) {
+	arch := config.KSR1(16)
+	a := New(arch, 0)
+	sets := proto.PageID(arch.AMSets())
+	for w := 0; w < arch.AMWays; w++ {
+		a.AllocFrame(proto.PageID(w)*sets, false, 0)
+	}
+	absent := proto.PageID(arch.AMWays) * sets
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if a.HasFrame(absent) {
+			b.Fatal("absent page found")
+		}
+	}
+}

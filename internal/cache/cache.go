@@ -250,7 +250,7 @@ func (c *Cache) allocate(setIdx int, tag uint64, now int64) (*sector, []Writebac
 // forEachLineOfItem visits the cache lines covering the item starting at
 // itemAddr (LinesPerItem consecutive lines).
 func (c *Cache) forEachLineOfItem(itemAddr uint64, fn func(s *sector, li int)) {
-	for l := 0; l < c.arch.LinesPerItem(); l++ {
+	for l, n := 0, c.arch.LinesPerItem(); l < n; l++ {
 		addr := itemAddr + uint64(l*c.arch.CacheLineSize)
 		setIdx, tag, li := c.locate(addr)
 		if s := c.findSector(setIdx, tag); s != nil && s.lines[li].valid {

@@ -198,7 +198,6 @@ func (e *Engine) RebuildDirectory() []proto.ItemID {
 		}
 		dropped = append(dropped, item)
 	})
-	sort.Slice(dropped, func(i, j int) bool { return dropped[i] < dropped[j] })
 	for _, item := range dropped {
 		e.dir.Drop(item)
 	}

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"slices"
 	"testing"
 
 	"coma/internal/am"
@@ -469,15 +470,19 @@ func TestRecoveryRestoresCommittedState(t *testing.T) {
 		r.establish(p)
 		// Post-checkpoint activity to be rolled back.
 		r.e.WriteItem(p, 2, 100, 99)
-		r.e.WriteItem(p, 3, 200, 55) // brand new item, never checkpointed
+		// Brand new items, never checkpointed, created out of order and
+		// in different directory leaves (1<<23 is a private-region item).
+		r.e.WriteItem(p, 3, 1<<23+5, 56)
+		r.e.WriteItem(p, 3, 200, 55)
+		r.e.WriteItem(p, 5, 3000, 57)
 		r.e.ReadItem(p, 4, 101)
 		// Rollback.
 		for n := 0; n < 16; n++ {
 			r.e.RecoveryScan(p, proto.NodeID(n))
 		}
 		dropped := r.e.RebuildDirectory()
-		if len(dropped) != 1 || dropped[0] != 200 {
-			t.Errorf("dropped = %v, want [200]", dropped)
+		if want := []proto.ItemID{200, 3000, 1<<23 + 5}; !slices.Equal(dropped, want) {
+			t.Errorf("dropped = %v, want %v in ascending order", dropped, want)
 		}
 	})
 	for _, c := range []struct {

@@ -155,7 +155,7 @@ func DSVM(nodes int) Arch {
 
 // Validate checks internal consistency and returns a descriptive error for
 // the first violated constraint.
-func (a Arch) Validate() error {
+func (a *Arch) Validate() error {
 	switch {
 	case a.Nodes < 1:
 		return fmt.Errorf("config: Nodes = %d, need >= 1", a.Nodes)
@@ -182,27 +182,27 @@ func (a Arch) Validate() error {
 }
 
 // ItemsPerPage returns the number of items in one page (128 in the paper).
-func (a Arch) ItemsPerPage() int { return a.PageSize / a.ItemSize }
+func (a *Arch) ItemsPerPage() int { return a.PageSize / a.ItemSize }
 
 // AMFrames returns the number of page frames in one attraction memory.
-func (a Arch) AMFrames() int { return a.AMSize / a.PageSize }
+func (a *Arch) AMFrames() int { return a.AMSize / a.PageSize }
 
 // AMSets returns the number of page-frame sets in one attraction memory.
-func (a Arch) AMSets() int { return a.AMFrames() / a.AMWays }
+func (a *Arch) AMSets() int { return a.AMFrames() / a.AMWays }
 
 // CacheLines returns the number of lines in one processor cache.
-func (a Arch) CacheLines() int { return a.CacheSize / a.CacheLineSize }
+func (a *Arch) CacheLines() int { return a.CacheSize / a.CacheLineSize }
 
 // LinesPerItem returns how many cache lines one AM item spans (2).
-func (a Arch) LinesPerItem() int { return a.ItemSize / a.CacheLineSize }
+func (a *Arch) LinesPerItem() int { return a.ItemSize / a.CacheLineSize }
 
 // DataMsgFlits returns the flit count of a message carrying one item.
-func (a Arch) DataMsgFlits() int {
+func (a *Arch) DataMsgFlits() int {
 	return a.MsgHeaderFlits + (a.ItemSize+a.FlitBytes-1)/a.FlitBytes
 }
 
 // MsgFlits returns the flit count for a message of the given kind.
-func (a Arch) MsgFlits(kind proto.MsgKind) int {
+func (a *Arch) MsgFlits(kind proto.MsgKind) int {
 	if kind.Carry() {
 		return a.DataMsgFlits()
 	}
@@ -211,7 +211,7 @@ func (a Arch) MsgFlits(kind proto.MsgKind) int {
 
 // MeshDims returns the smallest near-square (w, h) with w*h >= Nodes,
 // matching the paper's 9- to 56-node sweeps on 2-D meshes.
-func (a Arch) MeshDims() (w, h int) {
+func (a *Arch) MeshDims() (w, h int) {
 	w = 1
 	for w*w < a.Nodes {
 		w++
@@ -221,41 +221,41 @@ func (a Arch) MeshDims() (w, h int) {
 }
 
 // ItemOf returns the item covering the byte address.
-func (a Arch) ItemOf(addr uint64) proto.ItemID {
+func (a *Arch) ItemOf(addr uint64) proto.ItemID {
 	return proto.ItemID(addr / uint64(a.ItemSize))
 }
 
 // PageOf returns the page covering the item.
-func (a Arch) PageOf(item proto.ItemID) proto.PageID {
+func (a *Arch) PageOf(item proto.ItemID) proto.PageID {
 	return proto.PageID(int(item) / a.ItemsPerPage())
 }
 
 // PageOfAddr returns the page covering the byte address.
-func (a Arch) PageOfAddr(addr uint64) proto.PageID {
+func (a *Arch) PageOfAddr(addr uint64) proto.PageID {
 	return proto.PageID(addr / uint64(a.PageSize))
 }
 
 // FirstItem returns the first item of a page.
-func (a Arch) FirstItem(page proto.PageID) proto.ItemID {
+func (a *Arch) FirstItem(page proto.PageID) proto.ItemID {
 	return proto.ItemID(int(page) * a.ItemsPerPage())
 }
 
 // ItemIndexInPage returns the item's offset within its page.
-func (a Arch) ItemIndexInPage(item proto.ItemID) int {
+func (a *Arch) ItemIndexInPage(item proto.ItemID) int {
 	return int(item) % a.ItemsPerPage()
 }
 
 // LineOf returns the cache-line index of the byte address.
-func (a Arch) LineOf(addr uint64) uint64 { return addr / uint64(a.CacheLineSize) }
+func (a *Arch) LineOf(addr uint64) uint64 { return addr / uint64(a.CacheLineSize) }
 
 // CyclesPerSecond returns the clock rate as cycles (identity, for
 // readability at call sites that convert frequencies).
-func (a Arch) CyclesPerSecond() int64 { return a.ClockHz }
+func (a *Arch) CyclesPerSecond() int64 { return a.ClockHz }
 
 // CheckpointIntervalCycles converts a recovery-point frequency in
 // establishments per second to a period in cycles. Zero frequency means
 // "never" and returns 0.
-func (a Arch) CheckpointIntervalCycles(perSecond float64) int64 {
+func (a *Arch) CheckpointIntervalCycles(perSecond float64) int64 {
 	if perSecond <= 0 {
 		return 0
 	}

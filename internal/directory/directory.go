@@ -36,7 +36,8 @@ type Directory struct {
 	nodes   int
 	alive   []bool
 	ring    []proto.NodeID // alive nodes in id order
-	entries map[proto.ItemID]*Entry
+	entries proto.ItemTable[*Entry]
+	count   int // non-nil entries
 }
 
 // New builds a directory for n nodes, all alive.
@@ -45,9 +46,8 @@ func New(n int) *Directory {
 		panic("directory: need at least one node")
 	}
 	d := &Directory{
-		nodes:   n,
-		alive:   make([]bool, n),
-		entries: make(map[proto.ItemID]*Entry),
+		nodes: n,
+		alive: make([]bool, n),
 	}
 	for i := range d.alive {
 		d.alive[i] = true
@@ -130,33 +130,42 @@ func (d *Directory) Anchors(firstToucher proto.NodeID, count int) []proto.NodeID
 
 // Lookup returns the entry for an item, or nil if it was never created.
 func (d *Directory) Lookup(item proto.ItemID) *Entry {
-	return d.entries[item]
+	if p := d.entries.Get(item); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Ensure returns the entry for an item, creating an ownerless one on
 // first touch.
 func (d *Directory) Ensure(item proto.ItemID) *Entry {
-	e := d.entries[item]
-	if e == nil {
-		e = &Entry{Owner: proto.None, Sharers: NewBitset(d.nodes)}
-		d.entries[item] = e
+	p := d.entries.At(item)
+	if *p == nil {
+		*p = &Entry{Owner: proto.None, Sharers: NewBitset(d.nodes)}
+		d.count++
 	}
-	return e
+	return *p
 }
 
 // Drop removes an item's entry entirely (rollback of an item created
 // after the last recovery point).
-func (d *Directory) Drop(item proto.ItemID) { delete(d.entries, item) }
+func (d *Directory) Drop(item proto.ItemID) {
+	if p := d.entries.Get(item); p != nil && *p != nil {
+		*p = nil
+		d.count--
+	}
+}
 
 // Items returns the number of entries (items ever touched and still
 // tracked).
-func (d *Directory) Items() int { return len(d.entries) }
+func (d *Directory) Items() int { return d.count }
 
-// ForEach visits every entry. Iteration order is unspecified; callers
-// needing determinism must sort.
+// ForEach visits every entry in ascending item order.
 func (d *Directory) ForEach(fn func(item proto.ItemID, e *Entry)) {
-	for item, e := range d.entries {
-		fn(item, e)
+	for item, p := range d.entries.All() {
+		if *p != nil {
+			fn(item, *p)
+		}
 	}
 }
 

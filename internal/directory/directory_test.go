@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -128,6 +129,35 @@ func TestEnsureAndDrop(t *testing.T) {
 	d.Drop(5)
 	if d.Lookup(5) != nil || d.Items() != 0 {
 		t.Fatal("Drop left the entry")
+	}
+	d.Drop(5) // dropping an absent item is a no-op
+	if d.Items() != 0 {
+		t.Fatalf("items = %d after a second Drop", d.Items())
+	}
+	if e := d.Ensure(5); e.Owner != proto.None || e.Sharers.Len() != 0 || d.Items() != 1 {
+		t.Fatalf("re-inserted entry = %+v with %d items, want a fresh one", e, d.Items())
+	}
+}
+
+func TestForEachAscending(t *testing.T) {
+	d := New(56)
+	// The first shared item, a private-region item and the last item of
+	// the 56th processor's private region, inserted out of order.
+	items := []proto.ItemID{1<<23 + 56*131456 - 1, 3000, 0, 1 << 23, 4}
+	for _, item := range items {
+		d.Ensure(item).Owner = proto.NodeID(item % 56)
+	}
+	d.Drop(3000)
+	var got []proto.ItemID
+	d.ForEach(func(item proto.ItemID, e *Entry) {
+		if e.Owner != proto.NodeID(item%56) {
+			t.Fatalf("item %d has owner %v", item, e.Owner)
+		}
+		got = append(got, item)
+	})
+	want := []proto.ItemID{0, 4, 1 << 23, 1<<23 + 56*131456 - 1}
+	if !slices.Equal(got, want) || d.Items() != len(want) {
+		t.Fatalf("ForEach visited %v (%d items), want %v", got, d.Items(), want)
 	}
 }
 

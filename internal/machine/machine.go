@@ -91,8 +91,7 @@ type Machine struct {
 	co       *core.Coordinator
 	counters []*stats.Node
 
-	oracle    map[proto.ItemID]uint64
-	committed map[proto.ItemID]uint64
+	oracle    *valueOracle
 	genSnaps  []workload.Snapshot
 	ended     []bool
 	remaining int
@@ -213,8 +212,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 
 	if cfg.Oracle {
-		m.oracle = make(map[proto.ItemID]uint64)
-		m.committed = make(map[proto.ItemID]uint64)
+		m.oracle = newValueOracle()
 		m.coh.SetReadChecker(m.checkRead)
 	}
 
@@ -339,12 +337,12 @@ func (m *Machine) fail(err error) {
 
 func (m *Machine) onWrite(n proto.NodeID, item proto.ItemID, value uint64) {
 	if m.oracle != nil {
-		m.oracle[item] = value
+		m.oracle.write(item, value)
 	}
 }
 
 func (m *Machine) checkRead(n proto.NodeID, item proto.ItemID, value uint64) {
-	want := m.oracle[item]
+	want := m.oracle.value(item)
 	if value != want {
 		m.fail(fmt.Errorf("machine: node %v read %#x from item %d, oracle says %#x",
 			n, value, item, want))
@@ -385,10 +383,7 @@ func (m *Machine) onCommit() {
 		m.genSnaps[i] = nd.Generator().Snapshot()
 	}
 	if m.oracle != nil {
-		m.committed = make(map[proto.ItemID]uint64, len(m.oracle))
-		for k, v := range m.oracle {
-			m.committed[k] = v
-		}
+		m.oracle.commit()
 	}
 	if m.cfg.Invariants {
 		if err := core.Check(m.coh, proto.AtCommit); err != nil {
@@ -401,15 +396,12 @@ func (m *Machine) onCommit() {
 func (m *Machine) onRollback(dropped []proto.ItemID, failures []core.Failure) {
 	if m.oracle != nil {
 		for _, it := range dropped {
-			if _, was := m.committed[it]; was {
+			if m.oracle.committed(it) != 0 {
 				m.fail(fmt.Errorf("%w: item %d", ErrDataLoss, it))
 				return
 			}
 		}
-		m.oracle = make(map[proto.ItemID]uint64, len(m.committed))
-		for k, v := range m.committed {
-			m.oracle[k] = v
-		}
+		m.oracle.rollback()
 	}
 	for i, nd := range m.nodes {
 		if !m.co.Alive(proto.NodeID(i)) {

@@ -288,8 +288,8 @@ func TestRecoveryEquivalence(t *testing.T) {
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
-		img := make(map[proto.ItemID]proto.NodeID, len(m.oracle))
-		for item, value := range m.oracle {
+		img := make(map[proto.ItemID]proto.NodeID)
+		for item, value := range m.oracle.all() {
 			img[item] = proto.NodeID(value >> 48) // the writer node
 		}
 		return img

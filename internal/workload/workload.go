@@ -231,6 +231,9 @@ type App struct {
 	procs   int
 	total   int64 // this processor's instruction budget
 	barrGap int64
+	// logStay is math.Log(1 - ReadFrac - WriteFrac), the denominator of
+	// the geometric gap draw.
+	logStay float64
 	st      appState
 
 	// Cached address-space geometry.
@@ -286,6 +289,7 @@ func (s Spec) NewApp(proc, procs int, seed uint64) *App {
 		procs:    procs,
 		total:    total,
 		barrGap:  barrGap,
+		logStay:  math.Log(1 - (s.ReadFrac + s.WriteFrac)),
 		roItems:  roItems,
 		rwItems:  rwItems,
 		sharedLo: SharedBase,
@@ -383,12 +387,11 @@ func (a *App) Next() Ref {
 
 	// Geometric gap of non-memory instructions before the next
 	// reference.
-	refFrac := a.spec.ReadFrac + a.spec.WriteFrac
 	u := st.rng.Float64()
 	if u < 1e-12 {
 		u = 1e-12
 	}
-	gap := int64(math.Log(u) / math.Log(1-refFrac))
+	gap := int64(math.Log(u) / a.logStay)
 	if gap < 0 {
 		gap = 0
 	}
