@@ -12,31 +12,64 @@ import (
 
 // ReadItem satisfies a processor read that missed the cache: it ensures a
 // readable copy exists in the node's attraction memory (running the full
-// coherence transaction if not) and returns the item's value. Called from
-// the node's processor process; blocks for all simulated latencies.
+// coherence transaction if not) and returns the item's value. It blocks
+// for all simulated latencies. The processor loop takes the same steps
+// from event context: BeginLookup, ReadLookup and, on a miss, ReadMiss.
 func (e *Engine) ReadItem(p *sim.Process, n proto.NodeID, item proto.ItemID) uint64 {
-	c := e.counters[n]
-	c.AMReads++
+	e.counters[n].AMReads++
 	start := p.Now()
+	e.ctl[n].Acquire(p)
+	p.Wait(e.arch.AMAccess)
+	if v, ok := e.ReadLookup(n, item); ok {
+		return v
+	}
+	return e.ReadMiss(p, n, item, start)
+}
 
-	// The local lookup pass costs a full AM access whether it hits or
-	// detects the miss (Table 2 calibration, DESIGN.md §4.7). The slot
-	// must be examined only *after* the access completes: a remote write
-	// transaction may finish during those cycles, and serving the
-	// pre-access copy would deliver a value older than the completed
-	// write.
-	e.useController(p, n, e.arch.AMAccess)
+// BeginLookup opens the local lookup pass of a processor access on node
+// n from event context, the first step of ReadItem or WriteItem: it
+// counts the access and claims one of the node's AM controllers for
+// sink. It returns true if a controller was free; otherwise the Release
+// that hands one over schedules sink.OnEvent(arg). The caller holds the
+// controller for AMAccess cycles, then calls ReadLookup or WriteLookup.
+//
+// The local lookup pass costs a full AM access whether it hits or
+// detects the miss (Table 2 calibration, DESIGN.md §4.7). The slot must
+// be examined only *after* the access completes: a remote write
+// transaction may finish during those cycles, and serving the pre-access
+// copy would deliver a value older than the completed write.
+func (e *Engine) BeginLookup(n proto.NodeID, write bool, sink sim.EventSink, arg int64) bool {
+	if write {
+		e.counters[n].AMWrites++
+	} else {
+		e.counters[n].AMReads++
+	}
+	return e.ctl[n].AcquireSink(e.eng, sink, arg)
+}
+
+// ReadLookup ends a read's lookup pass: it releases the controller and
+// returns the item's value if the local copy is readable. On false the
+// caller must run ReadMiss.
+func (e *Engine) ReadLookup(n proto.NodeID, item proto.ItemID) (uint64, bool) {
+	e.ctl[n].Release(e.eng)
+	c := e.counters[n]
 	if slot := e.ams[n].Slot(item); e.readable(slot.State) {
 		c.FillsLocal++
 		if slot.State == proto.SharedCK1 || slot.State == proto.SharedCK2 {
 			c.SharedCKReads++
 		}
-		e.ams[n].Touch(e.arch.PageOf(item), p.Now())
+		e.ams[n].Touch(e.arch.PageOf(item), e.eng.Now())
 		e.verifyRead(n, item, slot.Value)
-		return slot.Value
+		return slot.Value, true
 	}
 	c.AMReadMisses++
+	return 0, false
+}
 
+// ReadMiss runs the coherence transaction of a read whose lookup pass
+// (begun at start) found no readable copy, and returns the value.
+func (e *Engine) ReadMiss(p *sim.Process, n proto.NodeID, item proto.ItemID, start int64) uint64 {
+	c := e.counters[n]
 	lockStart := p.Now()
 	e.lockItem(p, item)
 	defer e.unlockItem(item)
@@ -110,23 +143,39 @@ func (e *Engine) ReadItem(p *sim.Process, n proto.NodeID, item proto.ItemID) uin
 // WriteItem satisfies a processor write that could not complete in the
 // cache: it obtains an Exclusive copy in the node's attraction memory
 // (invalidating all other current copies, downgrading Shared-CK pairs to
-// Inv-CK under the ECP) and applies the new value.
+// Inv-CK under the ECP) and applies the new value. The processor loop
+// takes the same steps from event context: BeginLookup, WriteLookup and,
+// on a miss, WriteMiss.
 func (e *Engine) WriteItem(p *sim.Process, n proto.NodeID, item proto.ItemID, value uint64) {
-	c := e.counters[n]
-	c.AMWrites++
+	e.counters[n].AMWrites++
 	start := p.Now()
+	e.ctl[n].Acquire(p)
+	p.Wait(e.arch.AMAccess)
+	if !e.WriteLookup(n, item, value) {
+		e.WriteMiss(p, n, item, value, start)
+	}
+}
 
-	// Lookup pass first, state examined after it completes (same
-	// write-completion race as in ReadItem: exclusivity observed before
-	// the access cycles could be revoked during them).
-	e.useController(p, n, e.arch.AMAccess)
+// WriteLookup ends a write's lookup pass: it releases the controller and
+// applies the value in place if the local copy is Exclusive. On false
+// the caller must run WriteMiss. (The state is examined after the access
+// completes for the same write-completion race as in ReadLookup:
+// exclusivity observed before the access cycles could be revoked during
+// them.)
+func (e *Engine) WriteLookup(n proto.NodeID, item proto.ItemID, value uint64) bool {
+	e.ctl[n].Release(e.eng)
 	if e.ams[n].State(item) == proto.Exclusive {
 		e.ams[n].Set(item, am.Slot{State: proto.Exclusive, Value: value, Partner: proto.None})
-		e.ams[n].Touch(e.arch.PageOf(item), p.Now())
-		return
+		e.ams[n].Touch(e.arch.PageOf(item), e.eng.Now())
+		return true
 	}
-	c.AMWriteMisses++
+	e.counters[n].AMWriteMisses++
+	return false
+}
 
+// WriteMiss runs the coherence transaction of a write whose lookup pass
+// (begun at start) found no Exclusive copy.
+func (e *Engine) WriteMiss(p *sim.Process, n proto.NodeID, item proto.ItemID, value uint64, start int64) {
 	lockStart := p.Now()
 	e.lockItem(p, item)
 	defer e.unlockItem(item)

@@ -84,6 +84,9 @@ type Engine struct {
 	locks map[proto.ItemID]*itemLock
 	acks  map[proto.ItemID]*ackState
 
+	// handlers holds the in-flight remote handlers (remote.go).
+	handlers handlers
+
 	// pendingInstalls[n][page] counts in-flight misses on node n that
 	// will install into the page's frame when their data arrives; such a
 	// frame must not be replaced meanwhile.
@@ -132,6 +135,7 @@ func New(eng *sim.Engine, arch config.Arch, protocol Protocol, opts Options,
 		acks:        make(map[proto.ItemID]*ackState),
 		pageAnchors: make(map[proto.PageID][]proto.NodeID),
 	}
+	e.handlers.e = e
 	e.ctl = make([]*sim.Resource, arch.Nodes)
 	e.pendingInstalls = make([]map[proto.PageID]int, arch.Nodes)
 	e.txnSeq = make([]int64, arch.Nodes)
@@ -196,25 +200,15 @@ func (e *Engine) mintTxn(n proto.NodeID) proto.TxnID {
 func (e *Engine) SetRoundTxn(t proto.TxnID) { e.roundTxn = t }
 
 // dispatch routes a delivered message to its handler. It runs in event
-// context; handlers needing simulated time spawn processes.
+// context; the handlers that take simulated time run as staged sinks
+// (remote.go), starting at the current cycle.
 func (e *Engine) dispatch(n proto.NodeID, m mesh.Message) {
 	switch m.Kind {
-	case proto.MsgReadReq, proto.MsgWriteReq:
-		e.eng.Spawn("home", func(p *sim.Process) { e.homeRequest(p, n, m) })
-	case proto.MsgReadFwd:
-		e.eng.Spawn("owner-read", func(p *sim.Process) { e.ownerRead(p, n, m) })
-	case proto.MsgWriteFwd:
-		e.eng.Spawn("owner-write", func(p *sim.Process) { e.ownerWrite(p, n, m) })
-	case proto.MsgInvalidate:
-		e.eng.Spawn("invalidate", func(p *sim.Process) { e.handleInvalidate(p, n, m) })
+	case proto.MsgReadReq, proto.MsgWriteReq, proto.MsgReadFwd, proto.MsgWriteFwd,
+		proto.MsgInvalidate, proto.MsgInjectProbe, proto.MsgInjectData, proto.MsgPreCommitUpgrade:
+		e.handlers.start(n, m)
 	case proto.MsgInvalidateAck:
 		e.ackArrived(m.Item, 1)
-	case proto.MsgInjectProbe:
-		e.eng.Spawn("inject-probe", func(p *sim.Process) { e.handleInjectProbe(p, n, m) })
-	case proto.MsgInjectData:
-		e.eng.Spawn("inject-data", func(p *sim.Process) { e.handleInjectData(p, n, m) })
-	case proto.MsgPreCommitUpgrade:
-		e.eng.Spawn("precommit-upgrade", func(p *sim.Process) { e.handlePreCommitUpgrade(p, n, m) })
 	case proto.MsgHomeUpdate, proto.MsgPartnerUpdate, proto.MsgPageAlloc:
 		// Timing-only traffic: the simulator state was already updated
 		// under the initiating transaction's item lock (DESIGN.md §4.2).
@@ -282,6 +276,10 @@ func (e *Engine) unlockItem(item proto.ItemID) {
 	}
 	delete(e.locks, item)
 }
+
+// Handlers reports how many remote protocol handlers are in flight:
+// dispatched messages whose handler has not finished yet.
+func (e *Engine) Handlers() int { return len(e.handlers.recs) - len(e.handlers.free) }
 
 // LockedItems reports how many items currently have an active or queued
 // transaction (test hook: must be zero at quiesce).

@@ -734,8 +734,13 @@ func (co *Coordinator) AppBarrier(p *sim.Process, ops NodeOps) bool {
 		// never completes.
 		if co.pauseRequested && co.lastDone[ops.ID()] != co.round {
 			if !co.Participate(p, ops) {
-				co.abArrived--
-				co.maybeOpenAppBarrier()
+				// Withdraw the arrival only from the barrier round it
+				// was counted in: a recovery round may already have
+				// opened that barrier and reset the count.
+				if co.abRound == round {
+					co.abArrived--
+					co.maybeOpenAppBarrier()
+				}
 				return false
 			}
 			continue

@@ -129,6 +129,9 @@ type SummaryView struct {
 	// Events is the total dispatched so far (sim.Engine.Events).
 	Events    int64 `json:"events"`
 	Processes int   `json:"processes"`
+	// Handlers is the number of remote protocol handlers in flight
+	// (staged sinks, not processes: see coherence.Engine.Handlers).
+	Handlers int `json:"handlers"`
 	// Pending-event population by residence (sim.Engine.QueueStats).
 	WheelEvents    int `json:"wheel_events"`
 	OverflowEvents int `json:"overflow_events"`

@@ -16,6 +16,12 @@ import (
 // breaks the engine's one-runnable-goroutine handshake; simulated
 // processes must block only via Process.Wait/Park, Future.Await,
 // Resource.Acquire and friends.
+//
+// Those primitives in turn belong to process context: an EventSink's
+// OnEvent runs on the dispatcher, where there is no process to park, so
+// a call to one of them inside an OnEvent method is flagged too. Event
+// context waits by scheduling an event (AfterSink, Resource.AcquireSink)
+// or hands the blocking step to a process with Engine.Resume.
 var SimBlocking = &analysis.Analyzer{
 	Name: "simblocking",
 	Doc: "simulated processes must block via internal/sim primitives, " +
@@ -50,10 +56,24 @@ func SimBlockingScope(pkgPath string) bool {
 		inSubtree(pkgPath, "internal/cluster")
 }
 
+// processBlocking lists, per internal/sim type, the methods that block
+// the calling process.
+var processBlocking = map[string]map[string]bool{
+	"Process":  {"Wait": true, "WaitUntil": true, "Park": true},
+	"Future":   {"Await": true},
+	"Resource": {"Acquire": true, "Use": true},
+	"Barrier":  {"Arrive": true},
+	"Gate":     {"Wait": true},
+}
+
 func runSimBlocking(pass *analysis.Pass) (interface{}, error) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv != nil && n.Name.Name == "OnEvent" && n.Body != nil {
+					checkEventContext(pass, n.Body)
+				}
 			case *ast.UnaryExpr:
 				if n.Op == token.ARROW {
 					pass.Reportf(n.Pos(),
@@ -76,6 +96,44 @@ func runSimBlocking(pass *analysis.Pass) (interface{}, error) {
 		})
 	}
 	return nil, nil
+}
+
+// checkEventContext flags calls to process-blocking sim primitives in
+// the body of an OnEvent method.
+func checkEventContext(pass *analysis.Pass, body *ast.BlockStmt) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+		if !ok {
+			return true
+		}
+		sig, ok := fn.Type().(*types.Signature)
+		if !ok || sig.Recv() == nil {
+			return true
+		}
+		recv := sig.Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		named, ok := recv.(*types.Named)
+		if !ok || named.Obj().Pkg() == nil || !strings.HasSuffix(named.Obj().Pkg().Path(), "internal/sim") {
+			return true
+		}
+		if typ := named.Obj().Name(); processBlocking[typ][fn.Name()] {
+			pass.Reportf(call.Pos(),
+				"%s.%s blocks a process but OnEvent runs in event context: schedule an event "+
+					"(AfterSink, Resource.AcquireSink) or hand the step to a process (Engine.Resume)",
+				typ, fn.Name())
+		}
+		return true
+	})
 }
 
 // checkSyncBlocking flags blocking calls into package sync and time.

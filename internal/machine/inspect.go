@@ -128,6 +128,7 @@ func (m *Machine) InspectSummary() inspect.SummaryView {
 		SimCycles:      m.eng.Now(),
 		Events:         m.eng.Events(),
 		Processes:      m.eng.Processes(),
+		Handlers:       m.coh.Handlers(),
 		WheelEvents:    wheel,
 		OverflowEvents: overflow,
 		NowQueueEvents: nowq,

@@ -90,7 +90,7 @@ func TestInspectedTraceByteIdentical(t *testing.T) {
 	cfg := inspectCfg(t)
 	baseRun, baseTrace := runUninspected(t, cfg)
 
-	queried := 0
+	queried, maxProcs, maxHandlers := 0, 0, 0
 	inspRun, inspTrace := runInspected(t, cfg, 25_000, func(ctl *inspect.Controller) {
 		// Stream follower: replay-then-follow over published samples.
 		var lastSeq int64
@@ -115,6 +115,8 @@ func TestInspectedTraceByteIdentical(t *testing.T) {
 				if sum.Nodes != 16 {
 					t.Errorf("summary reports %d nodes, want 16", sum.Nodes)
 				}
+				maxProcs = max(maxProcs, sum.Processes)
+				maxHandlers = max(maxHandlers, sum.Handlers)
 				_ = s.InspectQueues()
 				for _, nv := range s.InspectNodes() {
 					if nv.Frames > 0 && nv.States.Total() == 0 {
@@ -137,6 +139,12 @@ func TestInspectedTraceByteIdentical(t *testing.T) {
 
 	if queried == 0 {
 		t.Fatal("driver never completed a query")
+	}
+	// One process per node plus the coordinator's; protocol handlers
+	// are slab records, not processes.
+	if maxProcs != 17 || maxHandlers == 0 {
+		t.Errorf("queries saw at most %d processes and %d handlers in flight, want 17 and some",
+			maxProcs, maxHandlers)
 	}
 	if !bytes.Equal(baseTrace, inspTrace) {
 		t.Fatalf("inspected trace differs from uninspected: %d vs %d bytes",

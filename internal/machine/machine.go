@@ -249,9 +249,8 @@ func (m *Machine) Coherence() *coherence.Engine { return m.coh }
 // Run executes the simulation to completion and returns the collected
 // statistics.
 func (m *Machine) Run() (*stats.Run, error) {
-	for i := range m.nodes {
-		nd := m.nodes[i]
-		m.eng.Spawn(fmt.Sprintf("proc%d", i), nd.Run)
+	for _, nd := range m.nodes {
+		nd.Start(m.eng)
 	}
 	m.co.Start()
 	for _, f := range m.cfg.Failures {

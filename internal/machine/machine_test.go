@@ -421,3 +421,31 @@ func TestRunsLeakNoGoroutines(t *testing.T) {
 		t.Fatalf("goroutines = %d after 100 runs, want at most %d", n, base)
 	}
 }
+
+// TestAppBarrierDeathAfterOpenDoesNotLivelock is the regression test for
+// an application-barrier miscount: a processor that died permanently
+// inside Participate, while parked at an application barrier, withdrew
+// its arrival even when the recovery round had already opened that
+// barrier and reset the count. The count went to -1, every later
+// barrier waited for one arrival too many, and the run established
+// empty recovery points forever.
+func TestAppBarrierDeathAfterOpenDoesNotLivelock(t *testing.T) {
+	cfg := Config{
+		Arch:         config.KSR1(16),
+		Protocol:     coherence.ECP,
+		App:          workload.Water().Scale(0.0025),
+		Seed:         15026280318080319045,
+		CheckpointHz: 400,
+		Failures: []FailurePlan{
+			{At: 10_000, Node: 5},
+			{At: 25_000, Node: 12, Permanent: true},
+		},
+		Oracle:     true,
+		Invariants: true,
+		MaxCycles:  2_000_000,
+	}
+	r := runCfg(t, cfg)
+	if r.Ckpt.Recoveries != 2 {
+		t.Errorf("recoveries = %d, want 2", r.Ckpt.Recoveries)
+	}
+}

@@ -75,9 +75,8 @@ func newRig(t *testing.T, gens []workload.Generator, interval int64, strict bool
 
 func (r *rig) runAll(t *testing.T) {
 	t.Helper()
-	for i := range r.nodes {
-		nd := r.nodes[i]
-		r.eng.Spawn("proc", nd.Run)
+	for _, nd := range r.nodes {
+		nd.Start(r.eng)
 	}
 	r.co.Start()
 	// Stop once all workloads ended (the coordinator keeps a wake event

@@ -58,7 +58,7 @@ func (f *fakeInspectSource) InspectQueues() inspect.QueuesView {
 
 func (f *fakeInspectSource) InspectSummary() inspect.SummaryView {
 	return inspect.SummaryView{
-		SimCycles: f.now, Events: f.events, Processes: 4,
+		SimCycles: f.now, Events: f.events, Processes: 4, Handlers: 3,
 		Nodes: 4, LiveNodes: 4,
 	}
 }
@@ -129,8 +129,8 @@ func TestInspectViewsOverHTTP(t *testing.T) {
 
 	var sum inspect.SummaryView
 	getJSON(t, base, http.StatusOK, &sum) // default view=summary
-	if sum.SimCycles != 100 || sum.Events != 1 || sum.Nodes != 4 || sum.Finished {
-		t.Errorf("summary = %+v, want sim_cycles=100 events=1 nodes=4 finished=false", sum)
+	if sum.SimCycles != 100 || sum.Events != 1 || sum.Nodes != 4 || sum.Handlers != 3 || sum.Finished {
+		t.Errorf("summary = %+v, want sim_cycles=100 events=1 nodes=4 handlers=3 finished=false", sum)
 	}
 
 	var nodes []inspect.NodeView

@@ -192,3 +192,79 @@ func BenchmarkRNGUint64(b *testing.B) {
 		_ = r.Uint64()
 	}
 }
+
+// selfSink reschedules itself d cycles ahead until n events have fired:
+// the event-context counterpart of a process looping on Wait(d).
+type selfSink struct {
+	n, d int64
+}
+
+func (s *selfSink) OnEvent(e *Engine, arg int64) {
+	if arg < s.n {
+		e.AfterSink(s.d, s, arg+1)
+	}
+}
+
+// BenchmarkSinkWait is BenchmarkProcessWait for a sink: one wait per
+// simulated cycle, taken as a typed event instead of a coroutine switch.
+func BenchmarkSinkWait(b *testing.B) {
+	b.ReportAllocs()
+	e := New()
+	e.AtSink(0, &selfSink{n: int64(b.N), d: 1}, 1)
+	b.ResetTimer()
+	if _, err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// useSink holds a resource for one cycle per use, acquiring it from
+// event context, n times. Two of them contend for one server, so every
+// other acquire queues and is handed the server by a Release.
+type useSink struct {
+	r    *Resource
+	n    int64
+	used int64
+}
+
+const (
+	useAcquire int64 = iota
+	useAcquired
+	useServed
+)
+
+func (s *useSink) OnEvent(e *Engine, arg int64) {
+	switch arg {
+	case useAcquire:
+		if !s.r.AcquireSink(e, s, useAcquired) {
+			return
+		}
+		fallthrough
+	case useAcquired:
+		e.AfterSink(1, s, useServed)
+	case useServed:
+		s.r.Release(e)
+		if s.used++; s.used < s.n {
+			s.OnEvent(e, useAcquire)
+		}
+	}
+}
+
+// BenchmarkResourceUseSink measures the sink form of Resource.Use:
+// acquire (or queue and be handed the server), one cycle of service,
+// release. Each op is one use by one of two contending sinks.
+func BenchmarkResourceUseSink(b *testing.B) {
+	b.ReportAllocs()
+	e := New()
+	r := NewResource("ctl", 1)
+	half := int64(b.N+1) / 2
+	for i := 0; i < 2; i++ {
+		e.AtSink(0, &useSink{r: r, n: half}, useAcquire)
+	}
+	b.ResetTimer()
+	if _, err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if r.InUse() != 0 {
+		b.Fatalf("resource still held by %d", r.InUse())
+	}
+}

@@ -3,14 +3,17 @@
 // a monotonically increasing cycle counter, callbacks fire at scheduled
 // cycles, and long-running activities are written as lightweight processes
 // (coroutines) that block on simulated time, futures, resources and
-// barriers.
+// barriers. An activity that waits only on delays and resources can run
+// as a chain of typed events (EventSink, Resource.AcquireSink) instead,
+// and enter a process inline (Engine.Resume) for a step that blocks.
 //
 // Determinism: the caller of RunUntil is the only dispatcher. It pops
-// events in (time, schedule-order) and runs callbacks inline; a process
-// wake switches into that process's coroutine (iter.Pull) until it parks
-// again, so exactly one of the dispatcher and one process runs at any
-// instant, and no switch goes through the Go scheduler. Two runs with the
-// same seed and the same inputs produce identical event sequences.
+// events in (time, schedule-order) and runs callbacks and sink events
+// inline; a process wake switches into that process's coroutine
+// (iter.Pull) until it parks again, so exactly one of the dispatcher and
+// one process runs at any instant, and no switch goes through the Go
+// scheduler. Two runs with the same seed and the same inputs produce
+// identical event sequences.
 //
 // The hot paths are allocation-free: pending events live in a timing
 // wheel (wheel.go) of reusable slots, process wakes and typed payload
@@ -49,6 +52,7 @@ type Engine struct {
 
 	running bool
 	stopped bool
+	cur     *Process // the process switched into, nil in event context
 
 	events int64 // total events dispatched, for diagnostics
 
@@ -200,7 +204,9 @@ func (e *Engine) Run() (int64, error) { return e.RunUntil(-1) }
 // The calling goroutine dispatches every event: callbacks and sink events
 // run inline, and a wake or start switches into the target process's
 // coroutine until it parks or finishes. A process panic re-raises here,
-// on the caller's goroutine, with the engine no longer running.
+// on the caller's goroutine, with the engine no longer running; a panic
+// in a sink event re-raises as "sim: event <sink type> at cycle N
+// panicked: ...".
 func (e *Engine) RunUntil(limit int64) (int64, error) {
 	if e.running {
 		return e.now, ErrNested
@@ -208,7 +214,19 @@ func (e *Engine) RunUntil(limit int64) (int64, error) {
 	e.running = true
 	e.stopped = false
 	e.limit = limit
-	defer func() { e.running = false }()
+	// sink is the sink whose event is being dispatched (nil between
+	// events and for other kinds): a panic raised in event context is
+	// re-raised naming it, since its stack alone shows only the
+	// dispatcher.
+	var sink EventSink
+	defer func() {
+		e.running, e.cur = false, nil
+		if sink != nil {
+			if r := recover(); r != nil {
+				panic(fmt.Sprintf("sim: event %T at cycle %d panicked: %v", sink, e.now, r))
+			}
+		}
+	}()
 
 	for {
 		if e.safePoint != nil {
@@ -224,9 +242,11 @@ func (e *Engine) RunUntil(limit int64) (int64, error) {
 		case evFn:
 			ev.fn()
 		case evSink:
-			ev.sink.OnEvent(e, ev.arg)
+			sink = ev.sink
+			sink.OnEvent(e, ev.arg)
+			sink = nil
 		case evWake:
-			ev.proc.w.resume()
+			e.switchTo(ev.proc)
 		case evStart:
 			e.start(ev.proc)
 		}
@@ -303,7 +323,7 @@ func (e *Engine) Shutdown() {
 				delete(e.procs, p) // never started
 				continue
 			}
-			p.w.resume()
+			e.switchTo(p)
 		}
 	}
 	for _, w := range e.idle {

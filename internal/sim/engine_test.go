@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -526,5 +528,92 @@ func TestWorkerPoolReuse(t *testing.T) {
 	e.Shutdown()
 	if n := runtime.NumGoroutine(); n > base || len(e.idle) != 0 {
 		t.Fatalf("goroutines = %d (want at most %d), idle = %d after shutdown", n, base, len(e.idle))
+	}
+}
+
+// resumeSink resumes a process inline each time one of its events fires.
+type resumeSink struct{ p *Process }
+
+func (s resumeSink) OnEvent(e *Engine, _ int64) { e.Resume(s.p) }
+
+// TestResumeInline: a process made by NewProcess schedules nothing and
+// starts on its first Resume; each later Resume takes it up from Park
+// inside the sink's event, so the only events are the sink's own and
+// the wakes of the process's real blocking steps.
+func TestResumeInline(t *testing.T) {
+	e := New()
+	var log []string
+	p := e.NewProcess("inline", func(p *Process) {
+		for i := 0; ; i++ {
+			log = append(log, fmt.Sprintf("step%d@%d", i, p.Now()))
+			if i == 1 {
+				p.Wait(5) // blocks: the dispatcher, not the sink, resumes it
+				log = append(log, fmt.Sprintf("woke@%d", p.Now()))
+			}
+			p.Park()
+		}
+	})
+	if wheel, overflow, nowq := e.QueueStats(); e.Processes() != 1 || wheel+overflow+nowq != 0 {
+		t.Fatalf("NewProcess: %d processes, %d pending events; want 1 and 0",
+			e.Processes(), wheel+overflow+nowq)
+	}
+	for _, at := range []int64{3, 4, 20} {
+		e.AtSink(at, resumeSink{p}, 0)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"step0@3", "step1@4", "woke@9", "step2@20"}
+	if !slices.Equal(log, want) {
+		t.Fatalf("log %v, want %v", log, want)
+	}
+	if e.Events() != 4 {
+		t.Errorf("events = %d, want 4 (three sink events and one wake)", e.Events())
+	}
+	e.Shutdown()
+	if e.Processes() != 0 {
+		t.Errorf("processes after shutdown = %d", e.Processes())
+	}
+}
+
+// TestResumeInlinePanicsInProcess: only the dispatcher may switch, so a
+// Resume issued by a running process panics.
+func TestResumeInlinePanicsInProcess(t *testing.T) {
+	e := New()
+	other := e.NewProcess("other", func(p *Process) {})
+	e.Spawn("caller", func(p *Process) { e.Resume(other) })
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		e.Run()
+		return nil
+	}()
+	want := `sim: process "caller" panicked: sim: Resume of "other" from inside process "caller"`
+	if got != want {
+		t.Fatalf("recovered %v, want %q", got, want)
+	}
+	e.Shutdown()
+}
+
+type boomSink struct{}
+
+func (boomSink) OnEvent(*Engine, int64) { panic("kaboom") }
+
+// TestSinkPanicSurfacesOnCaller: a panic in a sink event re-raises from
+// RunUntil naming the sink type and the cycle, and leaves the engine
+// not running.
+func TestSinkPanicSurfacesOnCaller(t *testing.T) {
+	e := New()
+	e.After(2, func() {})
+	e.AtSink(7, boomSink{}, 0)
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		e.Run()
+		return nil
+	}()
+	if want := "sim: event sim.boomSink at cycle 7 panicked: kaboom"; got != want {
+		t.Fatalf("recovered %v, want %q", got, want)
+	}
+	if e.running || e.cur != nil {
+		t.Error("engine still running after the crash")
 	}
 }

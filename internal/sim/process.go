@@ -12,8 +12,8 @@ type killedSignal struct{}
 // Process is a lightweight simulated process: a coroutine that runs only
 // while the engine has resumed it, and that blocks on simulated time
 // (Wait), futures (Await), resources (Acquire) and barriers. Each Spawn
-// makes a fresh Process, so a handle never aliases a later process even
-// though the coroutine underneath is pooled.
+// or NewProcess makes a fresh Process, so a handle never aliases a later
+// process even though the coroutine underneath is pooled.
 type Process struct {
 	eng    *Engine
 	id     int
@@ -38,11 +38,36 @@ type worker struct {
 // is used in diagnostics only. fn receives the Process handle it must use
 // for all blocking operations.
 func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
+	p := e.NewProcess(name, fn)
+	e.schedule(event{time: e.now, kind: evStart, proc: p})
+	return p
+}
+
+// NewProcess creates a process that runs fn but, unlike Spawn, schedules
+// nothing: it starts on its first Resume. It counts as live from now on.
+func (e *Engine) NewProcess(name string, fn func(p *Process)) *Process {
 	e.nextPID++
 	p := &Process{eng: e, id: e.nextPID, name: name, fn: fn}
 	e.procs[p] = struct{}{}
-	e.schedule(event{time: e.now, kind: evStart, proc: p})
 	return p
+}
+
+// Resume switches into p inline from event context, without scheduling
+// or dispatching an event, and returns when p parks or finishes. A
+// process made by NewProcess starts here; otherwise p must be parked
+// with no wake pending, so that nothing else resumes it. It lets an
+// EventSink hand a step that blocks to a process and take up its
+// non-blocking work again afterwards. Resume panics if a process is
+// running: only the dispatcher may switch.
+func (e *Engine) Resume(p *Process) {
+	if e.cur != nil {
+		panic(fmt.Sprintf("sim: Resume of %q from inside process %q", p.name, e.cur.name))
+	}
+	if p.w == nil {
+		e.start(p)
+		return
+	}
+	e.switchTo(p)
 }
 
 // start dispatches p's start event: it binds p to an idle worker (or a
@@ -60,7 +85,15 @@ func (e *Engine) start(p *Process) {
 		w = e.newWorker()
 	}
 	w.p, p.w = p, w
-	w.resume()
+	e.switchTo(p)
+}
+
+// switchTo runs p's coroutine until it parks or finishes, recording it
+// as the running process meanwhile.
+func (e *Engine) switchTo(p *Process) {
+	e.cur = p
+	p.w.resume()
+	e.cur = nil
 }
 
 func (e *Engine) newWorker() *worker {
@@ -116,9 +149,10 @@ func (p *Process) park() {
 }
 
 // Park blocks the process until another component wakes it with
-// Engine.WakeNow. It is the escape hatch for building synchronisation
-// primitives outside this package (for example the coherence engine's
-// per-item transaction locks); prefer Wait/Await/Acquire where they fit.
+// Engine.WakeNow, or resumes it inline with Engine.Resume. It is the
+// escape hatch for building synchronisation primitives outside this
+// package (for example the coherence engine's per-item transaction
+// locks); prefer Wait/Await/Acquire where they fit.
 func (p *Process) Park() { p.park() }
 
 // Wait blocks the process for d simulated cycles. Wait(0) yields control

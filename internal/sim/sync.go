@@ -54,16 +54,25 @@ func (f *Future[T]) Await(p *Process) T {
 // Resource is a multi-server FIFO resource (for example the four
 // independent AM controllers of a node, or a network interface). Acquire
 // blocks when all servers are busy; Release hands the server to the
-// longest-waiting process.
+// longest waiter. Processes (Acquire) and event sinks (AcquireSink)
+// queue in the same FIFO.
 type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	waiters  []*Process
+	waiters  []waiter
 
 	// Busy-time accounting for utilisation statistics.
 	busyCycles int64
 	lastChange int64
+}
+
+// waiter is one queued acquirer: a parked process, or a sink to notify
+// with arg once the server is handed to it.
+type waiter struct {
+	proc *Process
+	sink EventSink
+	arg  int64
 }
 
 // NewResource returns a resource with the given number of servers.
@@ -82,9 +91,22 @@ func (r *Resource) Acquire(p *Process) {
 		r.inUse++
 		return
 	}
-	r.waiters = append(r.waiters, p)
+	r.waiters = append(r.waiters, waiter{proc: p})
 	p.park()
 	// The releasing side transferred the server to us (inUse unchanged).
+}
+
+// AcquireSink is Acquire for event context. It claims a free server and
+// returns true, or queues (sink, arg) in the same FIFO as blocked
+// processes and returns false; the Release that hands the server over
+// then schedules sink.OnEvent(arg) at its own cycle, the event a
+// process wake would take.
+func (r *Resource) AcquireSink(e *Engine, sink EventSink, arg int64) bool {
+	if r.TryAcquire(e) {
+		return true
+	}
+	r.waiters = append(r.waiters, waiter{sink: sink, arg: arg})
+	return false
 }
 
 // TryAcquire claims a server if one is immediately free, without blocking.
@@ -106,8 +128,14 @@ func (r *Resource) Release(e *Engine) {
 	if len(r.waiters) > 0 {
 		next := r.waiters[0]
 		copy(r.waiters, r.waiters[1:])
+		r.waiters[len(r.waiters)-1] = waiter{}
 		r.waiters = r.waiters[:len(r.waiters)-1]
-		e.wakeNow(next) // server stays in use, transferred to next
+		// The server stays in use, transferred to next.
+		if next.proc != nil {
+			e.wakeNow(next.proc)
+		} else {
+			e.AtSink(e.now, next.sink, next.arg)
+		}
 		return
 	}
 	r.account(e)

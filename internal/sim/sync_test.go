@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -320,5 +321,87 @@ func TestRNGBoolBias(t *testing.T) {
 	frac := float64(hits) / n
 	if frac < 0.22 || frac > 0.28 {
 		t.Fatalf("Bool(0.25) frequency = %.3f", frac)
+	}
+}
+
+// fifoSink is one sink-side user in TestResourceMixedFIFO: at cycle
+// `at` it acquires the resource from event context, holds it 10 cycles
+// and releases it, taking the same events a process would.
+type fifoSink struct {
+	r     *Resource
+	at    int64
+	id    int
+	order *[]int
+}
+
+const (
+	fifoStart int64 = iota
+	fifoArrive
+	fifoGranted
+	fifoServed
+)
+
+func (s *fifoSink) OnEvent(e *Engine, arg int64) {
+	switch arg {
+	case fifoStart:
+		e.AfterSink(s.at, s, fifoArrive)
+	case fifoArrive:
+		if !s.r.AcquireSink(e, s, fifoGranted) {
+			return
+		}
+		fallthrough
+	case fifoGranted:
+		*s.order = append(*s.order, s.id)
+		e.AfterSink(10, s, fifoServed)
+	case fifoServed:
+		s.r.Release(e)
+	}
+}
+
+// TestResourceMixedFIFO: processes and sinks queue in one FIFO, and a
+// sink that is handed the server takes exactly the event a process wake
+// would, so a mixed population and an all-process one are granted in
+// the same order, end at the same cycle and dispatch the same number of
+// events.
+func TestResourceMixedFIFO(t *testing.T) {
+	run := func(sinks []bool) ([]int, int64, int64) {
+		e := New()
+		r := NewResource("ctl", 1)
+		var order []int
+		for i, isSink := range sinks {
+			if isSink {
+				e.AtSink(0, &fifoSink{r: r, at: int64(i), id: i, order: &order}, fifoStart)
+				continue
+			}
+			e.Spawn("u", func(p *Process) {
+				p.Wait(int64(i))
+				r.Acquire(p)
+				order = append(order, i)
+				p.Wait(10)
+				r.Release(e)
+			})
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if r.InUse() != 0 || r.QueueLen() != 0 {
+			t.Fatalf("resource left with %d in use, %d queued", r.InUse(), r.QueueLen())
+		}
+		return order, e.Now(), e.Events()
+	}
+	wantOrder, wantEnd, wantEvents := run([]bool{false, false, false, false, false})
+	if !slices.Equal(wantOrder, []int{0, 1, 2, 3, 4}) || wantEnd != 50 {
+		t.Fatalf("all-process order %v end %d, want [0 1 2 3 4] and 50", wantOrder, wantEnd)
+	}
+	for _, mix := range [][]bool{
+		{false, true, false, true, false},
+		{true, false, true, false, true},
+		{true, true, true, true, true},
+	} {
+		order, end, events := run(mix)
+		if !slices.Equal(order, wantOrder) || end != wantEnd || events != wantEvents {
+			t.Errorf("mix %v: order %v end %d events %d; want %v, %d, %d",
+				mix, order, end, events, wantOrder, wantEnd, wantEvents)
+		}
 	}
 }
