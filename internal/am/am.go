@@ -11,22 +11,27 @@ package am
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"coma/internal/config"
 	"coma/internal/proto"
 )
 
-// Slot is the per-item metadata held in a frame.
+// Slot is the per-item metadata held in a frame. The fields are ordered
+// widest first so that a slot packs into 16 bytes.
 type Slot struct {
-	State proto.State
 	// Value is the simulator's model of the item's 128 bytes: a 64-bit
 	// stamp checked against the machine oracle.
 	Value uint64
 	// Partner is the node holding the other copy of a recovery pair;
 	// meaningful only while State.Recovery() is true.
 	Partner proto.NodeID
+	State   proto.State
 }
+
+// emptySlot is the content of every slot of a freshly allocated frame.
+var emptySlot = Slot{State: proto.Invalid, Partner: proto.None}
 
 // frame is one page frame; its page is the matching entry of AM.tags.
 type frame struct {
@@ -35,7 +40,10 @@ type frame struct {
 	// by an in-flight replacement; it must not accept new copies.
 	evicting bool
 	lastUse  int64
-	slots    []Slot
+	// slots is made by the way's first AllocFrame and kept across
+	// DropFrame and Clear, so a run backs only the ways it uses and a
+	// reused way allocates nothing.
+	slots []Slot
 	// modified counts slots in Exclusive or MasterShared state; frames
 	// with modified > 0 form the paper's "modified-item tree", letting
 	// the create phase find the next item to replicate in O(frames).
@@ -55,10 +63,13 @@ type Stats struct {
 type AM struct {
 	arch config.Arch
 	node proto.NodeID
-	sets int
 	ways int
-	// itemsPerPage is arch.ItemsPerPage(), computed once.
-	itemsPerPage proto.ItemID
+	// setMask selects a page's set (Validate makes the set count a power
+	// of two); pageShift and itemMask split an item into its page and
+	// its index in the page.
+	setMask   uint32
+	pageShift uint
+	itemMask  proto.ItemID
 	// tags holds the page in every way, one row of ways per set
 	// (set s, way w at s*ways+w), NoPage marking a free way. A lookup
 	// scans the row of page % sets, as the hardware compares the tags
@@ -81,21 +92,23 @@ func (a *AM) SetStateHook(fn func(item proto.ItemID, from, to proto.State)) {
 	a.stateHook = fn
 }
 
-// New builds an empty attraction memory for the node.
+// New builds an empty attraction memory for the node. The architecture
+// must pass Validate. Its allocations do not depend on the frame count:
+// no frame has slots until it is first allocated.
 func New(arch config.Arch, node proto.NodeID) *AM {
 	n := arch.AMSets() * arch.AMWays
 	a := &AM{
-		arch:         arch,
-		node:         node,
-		sets:         arch.AMSets(),
-		ways:         arch.AMWays,
-		itemsPerPage: proto.ItemID(arch.ItemsPerPage()),
-		tags:         make([]proto.PageID, n),
-		frames:       make([]frame, n),
+		arch:      arch,
+		node:      node,
+		ways:      arch.AMWays,
+		setMask:   uint32(arch.AMSets() - 1),
+		pageShift: uint(bits.TrailingZeros(uint(arch.ItemsPerPage()))),
+		itemMask:  proto.ItemID(arch.ItemsPerPage() - 1),
+		tags:      make([]proto.PageID, n),
+		frames:    make([]frame, n),
 	}
-	for i := range a.frames {
+	for i := range a.tags {
 		a.tags[i] = proto.NoPage
-		a.frames[i].slots = make([]Slot, arch.ItemsPerPage())
 	}
 	return a
 }
@@ -111,7 +124,7 @@ func (a *AM) AllocatedFrames() int { return a.allocated }
 
 // setRow returns the index of way 0 of the page's set in tags/frames.
 func (a *AM) setRow(page proto.PageID) int {
-	return int(uint32(page)%uint32(a.sets)) * a.ways
+	return int(uint32(page)&a.setMask) * a.ways
 }
 
 // way returns the page's index in tags/frames, or -1 when the page is
@@ -139,13 +152,13 @@ func (a *AM) lookup(page proto.PageID) *frame {
 
 // slotFor returns the item's frame and slot, or nils when its page is
 // not allocated. It splits the item as Arch.PageOf and
-// Arch.ItemIndexInPage do, in 32-bit arithmetic.
+// Arch.ItemIndexInPage do, with a shift and a mask.
 func (a *AM) slotFor(item proto.ItemID) (*frame, *Slot) {
-	f := a.lookup(proto.PageID(item / a.itemsPerPage))
+	f := a.lookup(proto.PageID(item >> a.pageShift))
 	if f == nil {
 		return nil, nil
 	}
-	return f, &f.slots[item%a.itemsPerPage]
+	return f, &f.slots[item&a.itemMask]
 }
 
 // HasFrame reports whether the page is allocated.
@@ -194,7 +207,7 @@ func (a *AM) State(item proto.ItemID) proto.State {
 func (a *AM) Slot(item proto.ItemID) Slot {
 	_, s := a.slotFor(item)
 	if s == nil {
-		return Slot{State: proto.Invalid, Partner: proto.None}
+		return emptySlot
 	}
 	return *s
 }
@@ -274,8 +287,11 @@ func (a *AM) AllocFrame(page proto.PageID, irreplaceable bool, now int64) {
 		f.irreplaceable = irreplaceable
 		f.lastUse = now
 		f.modified = 0
+		if f.slots == nil {
+			f.slots = make([]Slot, a.itemMask+1)
+		}
 		for i := range f.slots {
-			f.slots[i] = Slot{State: proto.Invalid, Partner: proto.None}
+			f.slots[i] = emptySlot
 		}
 		a.allocated++
 		a.stats.FramesAllocated++
@@ -442,7 +458,8 @@ func (a *AM) StateCounts() map[proto.State]int {
 }
 
 // Clear wipes the whole memory (a transient node failure loses AM
-// contents; the node rejoins empty).
+// contents; the node rejoins empty). The frames keep their slots for
+// reuse; AllocFrame empties them.
 func (a *AM) Clear() {
 	for fi := range a.frames {
 		if a.tags[fi] != proto.NoPage {
@@ -453,9 +470,6 @@ func (a *AM) Clear() {
 		f.irreplaceable = false
 		f.evicting = false
 		f.modified = 0
-		for i := range f.slots {
-			f.slots[i] = Slot{State: proto.Invalid, Partner: proto.None}
-		}
 	}
 	a.allocated = 0
 }

@@ -49,3 +49,36 @@ func BenchmarkAMLookupMiss(b *testing.B) {
 		}
 	}
 }
+
+// TestAllocFrameReusedWayAllocs gates AllocFrame at zero allocations on
+// a way whose slots an earlier frame made.
+func TestAllocFrameReusedWayAllocs(t *testing.T) {
+	arch := config.KSR1(16)
+	a := New(arch, 0)
+	sets := proto.PageID(arch.AMSets())
+	a.AllocFrame(0, false, 0)
+	a.DropFrame(0)
+	page := proto.PageID(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		page += sets // same set, so the freed way is reused
+		a.AllocFrame(page, false, 0)
+		a.DropFrame(page)
+	})
+	if allocs != 0 {
+		t.Fatalf("AllocFrame on a reused way = %v allocs, want 0", allocs)
+	}
+}
+
+// TestNewAllocsIndependentOfFrames checks that New backs no frame: an
+// AM of 512 frames costs as many allocations as one of 64.
+func TestNewAllocsIndependentOfFrames(t *testing.T) {
+	big := config.KSR1(16)
+	small := big
+	small.AMSize = 1 << 20
+	count := func(arch config.Arch) float64 {
+		return testing.AllocsPerRun(10, func() { New(arch, 0) })
+	}
+	if b, s := count(big), count(small); b != s {
+		t.Fatalf("New allocs: %v for %d frames, %v for %d frames", b, big.AMFrames(), s, small.AMFrames())
+	}
+}

@@ -11,6 +11,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"coma/internal/config"
 )
@@ -58,60 +59,96 @@ type line struct {
 	value    uint64
 }
 
-type sector struct {
-	valid   bool
-	tag     uint64 // global sector number
-	lastUse int64
-	lines   []line
-}
+// noSector is the tag of a way that holds no sector. Simulated
+// addresses stay far below 2^63, so no sector number equals it.
+const noSector = ^uint64(0)
 
-// Cache is one processor's data cache.
+// Cache is one processor's data cache. Way w of set s is sector
+// s*ways+w; its tag, LRU stamp and lines sit at that index of tags,
+// lastUse and (scaled by the lines per sector) lines. A lookup scans
+// the set's row of tags, as the hardware compares one set's tags.
 type Cache struct {
-	arch       config.Arch
-	sets       [][]sector // [set][way]
-	numSets    int
-	sectorSize uint64
-	stats      Stats
+	arch    config.Arch
+	tags    []uint64 // global sector number per way, noSector when invalid
+	lastUse []int64
+	lines   []line
+	ways    int
+	// Validate makes the line size, the lines per sector and the set
+	// count powers of two, so an address splits with shifts and masks.
+	sectorLines int
+	sectorShift uint
+	lineShift   uint
+	lineMask    uint64
+	setMask     uint64
+	// wbs is the reused result of fill, valid until the next fill.
+	wbs   []Writeback
+	stats Stats
 }
 
-// New builds an empty cache for the architecture.
+// New builds an empty cache for the architecture, which must pass
+// Validate.
 func New(arch config.Arch) *Cache {
 	sectorSize := arch.CacheLineSize * arch.CacheSectors
-	numSectors := arch.CacheSize / sectorSize
-	numSets := numSectors / arch.CacheWays
+	numSets := arch.CacheSets()
 	if numSets < 1 {
 		panic(fmt.Sprintf("cache: geometry yields %d sets", numSets))
 	}
+	n := numSets * arch.CacheWays
 	c := &Cache{
-		arch:       arch,
-		numSets:    numSets,
-		sectorSize: uint64(sectorSize),
-		sets:       make([][]sector, numSets),
+		arch:        arch,
+		tags:        make([]uint64, n),
+		lastUse:     make([]int64, n),
+		lines:       make([]line, n*arch.CacheSectors),
+		ways:        arch.CacheWays,
+		sectorLines: arch.CacheSectors,
+		sectorShift: log2(sectorSize),
+		lineShift:   log2(arch.CacheLineSize),
+		lineMask:    uint64(arch.CacheSectors - 1),
+		setMask:     uint64(numSets - 1),
 	}
-	for i := range c.sets {
-		ways := make([]sector, arch.CacheWays)
-		for w := range ways {
-			ways[w].lines = make([]line, arch.CacheSectors)
-		}
-		c.sets[i] = ways
+	for i := range c.tags {
+		c.tags[i] = noSector
 	}
 	return c
 }
 
+func log2(v int) uint { return uint(bits.TrailingZeros(uint(v))) }
+
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
-func (c *Cache) locate(addr uint64) (setIdx int, tag uint64, lineIdx int) {
-	sectorNum := addr / c.sectorSize
-	return int(sectorNum % uint64(c.numSets)), sectorNum, int(addr%c.sectorSize) / c.arch.CacheLineSize
+// locate splits addr into the index of way 0 of its set, its sector
+// tag and its line index within the sector.
+func (c *Cache) locate(addr uint64) (row int, tag uint64, lineIdx int) {
+	tag = addr >> c.sectorShift
+	return int(tag&c.setMask) * c.ways, tag, int(addr >> c.lineShift & c.lineMask)
 }
 
-func (c *Cache) findSector(setIdx int, tag uint64) *sector {
-	for w := range c.sets[setIdx] {
-		s := &c.sets[setIdx][w]
-		if s.valid && s.tag == tag {
-			return s
+// findSector returns the sector holding tag in the set starting at row,
+// or -1.
+func (c *Cache) findSector(row int, tag uint64) int {
+	for w, t := range c.tags[row : row+c.ways] {
+		if t == tag {
+			return row + w
 		}
+	}
+	return -1
+}
+
+// sectorLinesOf returns sector i's lines.
+func (c *Cache) sectorLinesOf(i int) []line {
+	return c.lines[i*c.sectorLines : (i+1)*c.sectorLines]
+}
+
+// lineAt returns the valid line covering addr, or nil.
+func (c *Cache) lineAt(addr uint64) *line {
+	row, tag, li := c.locate(addr)
+	i := c.findSector(row, tag)
+	if i < 0 {
+		return nil
+	}
+	if l := &c.lines[i*c.sectorLines+li]; l.valid {
+		return l
 	}
 	return nil
 }
@@ -121,22 +158,23 @@ func (c *Cache) findSector(setIdx int, tag uint64) *sector {
 // and writable; the write is applied. On any miss the caller runs the
 // below protocol and then calls Fill (and Write again for writes).
 func (c *Cache) Access(addr uint64, write bool, value uint64, now int64) (uint64, bool) {
-	setIdx, tag, li := c.locate(addr)
-	s := c.findSector(setIdx, tag)
-	if s != nil && s.lines[li].valid {
-		if !write {
-			s.lastUse = now
-			c.stats.ReadHits++
-			return s.lines[li].value, true
+	row, tag, li := c.locate(addr)
+	if i := c.findSector(row, tag); i >= 0 {
+		if l := &c.lines[i*c.sectorLines+li]; l.valid {
+			if !write {
+				c.lastUse[i] = now
+				c.stats.ReadHits++
+				return l.value, true
+			}
+			if l.writable {
+				c.lastUse[i] = now
+				l.value = value
+				l.dirty = true
+				c.stats.WriteHits++
+				return value, true
+			}
+			c.stats.UpgradeMisses++
 		}
-		if s.lines[li].writable {
-			s.lastUse = now
-			s.lines[li].value = value
-			s.lines[li].dirty = true
-			c.stats.WriteHits++
-			return value, true
-		}
-		c.stats.UpgradeMisses++
 	}
 	if write {
 		c.stats.WriteMisses++
@@ -148,23 +186,18 @@ func (c *Cache) Access(addr uint64, write bool, value uint64, now int64) (uint64
 
 // Contains reports whether the line covering addr is valid (without
 // touching LRU state or statistics).
-func (c *Cache) Contains(addr uint64) bool {
-	setIdx, tag, li := c.locate(addr)
-	s := c.findSector(setIdx, tag)
-	return s != nil && s.lines[li].valid
-}
+func (c *Cache) Contains(addr uint64) bool { return c.lineAt(addr) != nil }
 
 // Writable reports whether the line covering addr is valid and writable.
 func (c *Cache) Writable(addr uint64) bool {
-	setIdx, tag, li := c.locate(addr)
-	s := c.findSector(setIdx, tag)
-	return s != nil && s.lines[li].valid && s.lines[li].writable
+	l := c.lineAt(addr)
+	return l != nil && l.writable
 }
 
 // Fill installs the line covering addr with the given value and write
 // permission, allocating (and possibly evicting) a sector. It returns the
 // dirty lines of an evicted sector, which the caller must write back to
-// the local AM.
+// the local AM; the slice is valid until the next fill.
 func (c *Cache) Fill(addr uint64, writable bool, value uint64, now int64) []Writeback {
 	return c.fill(addr, writable, false, value, now)
 }
@@ -176,14 +209,14 @@ func (c *Cache) FillDirty(addr uint64, value uint64, now int64) []Writeback {
 }
 
 func (c *Cache) fill(addr uint64, writable, dirty bool, value uint64, now int64) []Writeback {
-	setIdx, tag, li := c.locate(addr)
-	s := c.findSector(setIdx, tag)
+	row, tag, li := c.locate(addr)
+	i := c.findSector(row, tag)
 	var evicted []Writeback
-	if s == nil {
-		s, evicted = c.allocate(setIdx, tag, now)
+	if i < 0 {
+		i, evicted = c.allocate(row, tag)
 	}
-	s.lastUse = now
-	s.lines[li] = line{valid: true, writable: writable, dirty: dirty, value: value}
+	c.lastUse[i] = now
+	c.lines[i*c.sectorLines+li] = line{valid: true, writable: writable, dirty: dirty, value: value}
 	return evicted
 }
 
@@ -191,70 +224,60 @@ func (c *Cache) fill(addr uint64, writable, dirty bool, value uint64, now int64)
 // item (the simulator models contents per item, so a write through one
 // line must be visible through the other).
 func (c *Cache) SetItemValue(itemAddr uint64, value uint64) {
-	c.forEachLineOfItem(itemAddr, func(s *sector, li int) {
-		s.lines[li].value = value
-	})
+	c.forEachLineOfItem(itemAddr, func(l *line) { l.value = value })
 }
 
 // DowngradeAll removes write permission from every line (recovery-point
 // quiesce: all Exclusive AM copies are about to become Pre-Commit).
 // Dirty bits are untouched; flush first.
 func (c *Cache) DowngradeAll() {
-	for setIdx := range c.sets {
-		for w := range c.sets[setIdx] {
-			s := &c.sets[setIdx][w]
-			if !s.valid {
-				continue
-			}
-			for li := range s.lines {
-				s.lines[li].writable = false
-			}
-		}
+	for i := range c.lines {
+		c.lines[i].writable = false
 	}
 }
 
-func (c *Cache) allocate(setIdx int, tag uint64, now int64) (*sector, []Writeback) {
-	set := c.sets[setIdx]
-	victim := &set[0]
-	for w := range set {
-		s := &set[w]
-		if !s.valid {
-			victim = s
+// allocate claims a way of the set starting at row for tag: the first
+// invalid way, else the least recently used one, whose dirty lines it
+// returns for write-back.
+func (c *Cache) allocate(row int, tag uint64) (int, []Writeback) {
+	victim := row
+	for i := row; i < row+c.ways; i++ {
+		if c.tags[i] == noSector {
+			victim = i
 			break
 		}
-		if s.lastUse < victim.lastUse {
-			victim = s
+		if c.lastUse[i] < c.lastUse[victim] {
+			victim = i
 		}
 	}
 	var wbs []Writeback
-	if victim.valid {
+	if old := c.tags[victim]; old != noSector {
 		c.stats.Evictions++
-		base := victim.tag * c.sectorSize
-		for i := range victim.lines {
-			if victim.lines[i].valid && victim.lines[i].dirty {
+		wbs = c.wbs[:0]
+		base := old << c.sectorShift
+		lines := c.sectorLinesOf(victim)
+		for li := range lines {
+			if lines[li].valid && lines[li].dirty {
 				c.stats.Writebacks++
 				wbs = append(wbs, Writeback{
-					Addr:  base + uint64(i*c.arch.CacheLineSize),
-					Value: victim.lines[i].value,
+					Addr:  base + uint64(li)<<c.lineShift,
+					Value: lines[li].value,
 				})
 			}
-			victim.lines[i] = line{}
+			lines[li] = line{}
 		}
+		c.wbs = wbs
 	}
-	victim.valid = true
-	victim.tag = tag
-	victim.lastUse = now
+	c.tags[victim] = tag
 	return victim, wbs
 }
 
-// forEachLineOfItem visits the cache lines covering the item starting at
-// itemAddr (LinesPerItem consecutive lines).
-func (c *Cache) forEachLineOfItem(itemAddr uint64, fn func(s *sector, li int)) {
+// forEachLineOfItem visits the valid cache lines covering the item
+// starting at itemAddr (LinesPerItem consecutive lines).
+func (c *Cache) forEachLineOfItem(itemAddr uint64, fn func(l *line)) {
 	for l, n := 0, c.arch.LinesPerItem(); l < n; l++ {
-		addr := itemAddr + uint64(l*c.arch.CacheLineSize)
-		setIdx, tag, li := c.locate(addr)
-		if s := c.findSector(setIdx, tag); s != nil && s.lines[li].valid {
-			fn(s, li)
+		if ln := c.lineAt(itemAddr + uint64(l)<<c.lineShift); ln != nil {
+			fn(ln)
 		}
 	}
 }
@@ -267,8 +290,8 @@ func (c *Cache) forEachLineOfItem(itemAddr uint64, fn func(s *sector, li int)) {
 // transferred.
 func (c *Cache) InvalidateItem(itemAddr uint64) int {
 	n := 0
-	c.forEachLineOfItem(itemAddr, func(s *sector, li int) {
-		s.lines[li] = line{}
+	c.forEachLineOfItem(itemAddr, func(l *line) {
+		*l = line{}
 		n++
 	})
 	c.stats.Invalidations += int64(n)
@@ -280,9 +303,9 @@ func (c *Cache) InvalidateItem(itemAddr uint64) int {
 // leaves Exclusive (remote read, or checkpoint flush): the data stays in
 // the cache and "can still be read by processors" (paper §4.2.3).
 func (c *Cache) DowngradeItem(itemAddr uint64) {
-	c.forEachLineOfItem(itemAddr, func(s *sector, li int) {
-		s.lines[li].writable = false
-		s.lines[li].dirty = false
+	c.forEachLineOfItem(itemAddr, func(l *line) {
+		l.writable = false
+		l.dirty = false
 	})
 }
 
@@ -292,9 +315,9 @@ func (c *Cache) DowngradeItem(itemAddr uint64) {
 func (c *Cache) ItemDirtyValue(itemAddr uint64) (uint64, bool) {
 	var v uint64
 	found := false
-	c.forEachLineOfItem(itemAddr, func(s *sector, li int) {
-		if s.lines[li].dirty {
-			v = s.lines[li].value
+	c.forEachLineOfItem(itemAddr, func(l *line) {
+		if l.dirty {
+			v = l.value
 			found = true
 		}
 	})
@@ -307,20 +330,18 @@ func (c *Cache) ItemDirtyValue(itemAddr uint64) (uint64, bool) {
 // longer Exclusive. It returns the number of lines flushed.
 func (c *Cache) FlushDirty(fn func(addr, value uint64)) int {
 	n := 0
-	for setIdx := range c.sets {
-		for w := range c.sets[setIdx] {
-			s := &c.sets[setIdx][w]
-			if !s.valid {
-				continue
-			}
-			base := s.tag * c.sectorSize
-			for li := range s.lines {
-				if s.lines[li].valid && s.lines[li].dirty {
-					fn(base+uint64(li*c.arch.CacheLineSize), s.lines[li].value)
-					s.lines[li].dirty = false
-					s.lines[li].writable = false
-					n++
-				}
+	for i, tag := range c.tags {
+		if tag == noSector {
+			continue
+		}
+		base := tag << c.sectorShift
+		lines := c.sectorLinesOf(i)
+		for li := range lines {
+			if l := &lines[li]; l.valid && l.dirty {
+				fn(base+uint64(li)<<c.lineShift, l.value)
+				l.dirty = false
+				l.writable = false
+				n++
 			}
 		}
 	}
@@ -330,17 +351,9 @@ func (c *Cache) FlushDirty(fn func(addr, value uint64)) int {
 // DirtyLines returns the number of dirty lines currently held.
 func (c *Cache) DirtyLines() int {
 	n := 0
-	for setIdx := range c.sets {
-		for w := range c.sets[setIdx] {
-			s := &c.sets[setIdx][w]
-			if !s.valid {
-				continue
-			}
-			for li := range s.lines {
-				if s.lines[li].valid && s.lines[li].dirty {
-					n++
-				}
-			}
+	for i := range c.lines {
+		if c.lines[i].valid && c.lines[i].dirty {
+			n++
 		}
 	}
 	return n
@@ -349,20 +362,14 @@ func (c *Cache) DirtyLines() int {
 // InvalidateAll empties the cache (recovery rollback: Shared copies
 // cannot be told apart from stale data, so everything goes).
 func (c *Cache) InvalidateAll() {
-	for setIdx := range c.sets {
-		for w := range c.sets[setIdx] {
-			s := &c.sets[setIdx][w]
-			if s.valid {
-				for li := range s.lines {
-					if s.lines[li].valid {
-						c.stats.Invalidations++
-					}
-				}
-			}
-			*s = sector{lines: s.lines}
-			for li := range s.lines {
-				s.lines[li] = line{}
-			}
+	for i := range c.lines {
+		if c.lines[i].valid {
+			c.stats.Invalidations++
 		}
+		c.lines[i] = line{}
+	}
+	for i := range c.tags {
+		c.tags[i] = noSector
+		c.lastUse[i] = 0
 	}
 }

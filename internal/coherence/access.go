@@ -278,7 +278,7 @@ func (e *Engine) WriteThrough(n proto.NodeID, item proto.ItemID, value uint64) {
 // final response (grant or data), which may come from the home (cold) or
 // be forwarded to and answered by the owner.
 func (e *Engine) fetch(p *sim.Process, n proto.NodeID, item proto.ItemID, kind proto.MsgKind, txn proto.TxnID) mesh.Message {
-	fut := sim.NewFuture[mesh.Message]()
+	fut := e.newReply()
 	e.net.Send(mesh.Message{
 		Kind:      kind,
 		Src:       n,
@@ -288,7 +288,7 @@ func (e *Engine) fetch(p *sim.Process, n proto.NodeID, item proto.ItemID, kind p
 		Token:     fut,
 		Txn:       txn,
 	})
-	return fut.Await(p)
+	return e.awaitReply(p, fut)
 }
 
 // invalidateSharers sends invalidations to every sharer of an item owned

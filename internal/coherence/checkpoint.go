@@ -52,7 +52,7 @@ func (e *Engine) CreatePhase(p *sim.Process, n proto.NodeID) {
 			if sharer != proto.None {
 				// Replication reuse: upgrade an existing Shared copy.
 				entry.Sharers.Remove(sharer)
-				fut := sim.NewFuture[mesh.Message]()
+				fut := e.newReply()
 				e.net.Send(mesh.Message{
 					Kind:  proto.MsgPreCommitUpgrade,
 					Src:   n,
@@ -61,7 +61,7 @@ func (e *Engine) CreatePhase(p *sim.Process, n proto.NodeID) {
 					Token: fut,
 					Txn:   e.roundTxn,
 				})
-				fut.Await(p)
+				e.awaitReply(p, fut)
 				e.ams[n].SetPartner(item, sharer)
 				c.CkptItemsReused++
 			} else {

@@ -84,6 +84,11 @@ type Engine struct {
 	locks map[proto.ItemID]*itemLock
 	acks  map[proto.ItemID]*ackState
 
+	// Records of finished transactions, reused by later ones (pool.go).
+	replies   freeList[sim.Future[mesh.Message]]
+	freeLocks freeList[itemLock]
+	freeAcks  freeList[ackState]
+
 	// handlers holds the in-flight remote handlers (remote.go).
 	handlers handlers
 
@@ -236,7 +241,7 @@ type itemLock struct {
 func (e *Engine) lockItem(p *sim.Process, item proto.ItemID) {
 	l := e.locks[item]
 	if l == nil {
-		l = &itemLock{}
+		l = e.newLock()
 		e.locks[item] = l
 	}
 	if !l.held {
@@ -251,7 +256,9 @@ func (e *Engine) lockItem(p *sim.Process, item proto.ItemID) {
 func (e *Engine) tryLockItem(item proto.ItemID) bool {
 	l := e.locks[item]
 	if l == nil {
-		e.locks[item] = &itemLock{held: true}
+		l = e.newLock()
+		l.held = true
+		e.locks[item] = l
 		return true
 	}
 	if l.held {
@@ -267,14 +274,25 @@ func (e *Engine) unlockItem(item proto.ItemID) {
 	if l == nil || !l.held {
 		panic(fmt.Sprintf("coherence: unlock of free item %d", item))
 	}
-	if len(l.q) > 0 {
+	if k := len(l.q); k > 0 {
 		next := l.q[0]
 		copy(l.q, l.q[1:])
-		l.q = l.q[:len(l.q)-1]
+		l.q[k-1] = nil
+		l.q = l.q[:k-1]
 		e.eng.WakeNow(next)
 		return
 	}
 	delete(e.locks, item)
+	l.held = false
+	e.freeLocks.put(l)
+}
+
+// newLock returns a free, unheld lock with an empty queue.
+func (e *Engine) newLock() *itemLock {
+	if l := e.freeLocks.take(); l != nil {
+		return l
+	}
+	return &itemLock{}
 }
 
 // Handlers reports how many remote protocol handlers are in flight:
@@ -290,17 +308,25 @@ func (e *Engine) LockedItems() int { return len(e.locks) }
 type ackState struct {
 	needed   int // -1 until the data grant announces the count
 	received int
-	fut      *sim.Future[int]
+	fut      sim.Future[int]
 }
 
 // registerAcks prepares ack collection for a write transaction on item.
+// The transaction awaits the returned future before finishAcks gives
+// the state back for reuse.
 func (e *Engine) registerAcks(item proto.ItemID) *sim.Future[int] {
 	if _, dup := e.acks[item]; dup {
 		panic(fmt.Sprintf("coherence: concurrent ack registration for item %d", item))
 	}
-	st := &ackState{needed: -1, fut: sim.NewFuture[int]()}
+	st := e.freeAcks.take()
+	if st == nil {
+		st = &ackState{}
+	} else {
+		st.fut.Reset()
+	}
+	st.needed, st.received = -1, 0
 	e.acks[item] = st
-	return st.fut
+	return &st.fut
 }
 
 // expectAcks announces how many acknowledgements the transaction must
@@ -330,6 +356,7 @@ func (e *Engine) ackArrived(item proto.ItemID, n int) {
 
 // finishAcks tears down ack collection after the transaction completes.
 func (e *Engine) finishAcks(item proto.ItemID) {
+	e.freeAcks.put(e.acks[item])
 	delete(e.acks, item)
 }
 

@@ -76,7 +76,7 @@ func (e *Engine) inject(p *sim.Process, n proto.NodeID, item proto.ItemID,
 			e.obs.Emit(obs.Event{Time: p.Now(), Kind: obs.KInjectProbe, Node: n, Item: item,
 				Cause: cause, Txn: txn, A: int64(t), B: lap})
 		}
-		fut := sim.NewFuture[mesh.Message]()
+		fut := e.newReply()
 		e.net.Send(mesh.Message{
 			Kind:      proto.MsgInjectProbe,
 			Src:       n,
@@ -90,7 +90,7 @@ func (e *Engine) inject(p *sim.Process, n proto.NodeID, item proto.ItemID,
 			Token:     fut,
 			Txn:       txn,
 		})
-		reply := fut.Await(p)
+		reply := e.awaitReply(p, fut)
 		if reply.Kind == proto.MsgInjectAccept {
 			target = t
 			break
@@ -112,7 +112,7 @@ func (e *Engine) inject(p *sim.Process, n proto.NodeID, item proto.ItemID,
 	// Step two: the data transfer and its acknowledgement. The probe
 	// handler already performed the state installation at the target
 	// (under our item lock); these messages carry the timing.
-	ackFut := sim.NewFuture[mesh.Message]()
+	ackFut := e.newReply()
 	e.net.Send(mesh.Message{
 		Kind:      proto.MsgInjectData,
 		Src:       n,
@@ -124,7 +124,7 @@ func (e *Engine) inject(p *sim.Process, n proto.NodeID, item proto.ItemID,
 		Token:     ackFut,
 		Txn:       txn,
 	})
-	ackFut.Await(p)
+	e.awaitReply(p, ackFut)
 
 	// Recovery-pair partner bookkeeping.
 	if injState.Recovery() {

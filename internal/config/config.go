@@ -154,21 +154,36 @@ func DSVM(nodes int) Arch {
 }
 
 // Validate checks internal consistency and returns a descriptive error for
-// the first violated constraint.
+// the first violated constraint. Besides divisibility it requires powers
+// of two for the line, sector, set, item and page sizes and counts, so
+// the cache and the attraction memory split addresses with shifts and
+// masks; every preset meets this.
 func (a *Arch) Validate() error {
 	switch {
 	case a.Nodes < 1:
 		return fmt.Errorf("config: Nodes = %d, need >= 1", a.Nodes)
-	case a.ItemSize <= 0 || a.PageSize%a.ItemSize != 0:
-		return fmt.Errorf("config: PageSize %d not a multiple of ItemSize %d", a.PageSize, a.ItemSize)
-	case a.CacheLineSize <= 0 || a.ItemSize%a.CacheLineSize != 0:
-		return fmt.Errorf("config: ItemSize %d not a multiple of CacheLineSize %d", a.ItemSize, a.CacheLineSize)
-	case a.AMSize%a.PageSize != 0:
-		return fmt.Errorf("config: AMSize %d not a multiple of PageSize %d", a.AMSize, a.PageSize)
-	case a.CacheSize%(a.CacheLineSize*a.CacheWays) != 0:
-		return fmt.Errorf("config: cache geometry %d/%d/%d does not tile", a.CacheSize, a.CacheLineSize, a.CacheWays)
-	case a.AMFrames()%a.AMWays != 0:
+	case !pow2(a.ItemSize):
+		return fmt.Errorf("config: ItemSize %d is not a power of two", a.ItemSize)
+	case !pow2(a.PageSize) || a.PageSize%a.ItemSize != 0:
+		return fmt.Errorf("config: PageSize %d not a power-of-two multiple of ItemSize %d", a.PageSize, a.ItemSize)
+	case !pow2(a.CacheLineSize) || a.ItemSize%a.CacheLineSize != 0:
+		return fmt.Errorf("config: ItemSize %d not a multiple of power-of-two CacheLineSize %d", a.ItemSize, a.CacheLineSize)
+	case a.AMSize <= 0 || a.AMSize%a.PageSize != 0:
+		return fmt.Errorf("config: AMSize %d not a positive multiple of PageSize %d", a.AMSize, a.PageSize)
+	case a.AMWays < 1 || a.AMFrames()%a.AMWays != 0:
 		return fmt.Errorf("config: AM frames %d not divisible by ways %d", a.AMFrames(), a.AMWays)
+	case !pow2(a.AMSets()):
+		return fmt.Errorf("config: AM set count %d (%d frames / %d ways) is not a power of two", a.AMSets(), a.AMFrames(), a.AMWays)
+	case !pow2(a.CacheSectors):
+		return fmt.Errorf("config: CacheSectors %d is not a power of two", a.CacheSectors)
+	// The bounds come first so that no product of the cache sizes
+	// overflows.
+	case a.CacheSize <= 0 || a.CacheSectors > a.CacheSize/a.CacheLineSize ||
+		a.CacheWays < 1 || a.CacheWays > a.CacheSize/(a.CacheLineSize*a.CacheSectors) ||
+		a.CacheSize%(a.CacheLineSize*a.CacheSectors*a.CacheWays) != 0:
+		return fmt.Errorf("config: cache geometry %d/%d/%d/%d does not tile", a.CacheSize, a.CacheLineSize, a.CacheSectors, a.CacheWays)
+	case !pow2(a.CacheSets()):
+		return fmt.Errorf("config: cache set count %d is not a power of two", a.CacheSets())
 	case a.AnchorFrames < 1 || a.AnchorFrames > a.Nodes:
 		return fmt.Errorf("config: AnchorFrames %d out of range [1,%d]", a.AnchorFrames, a.Nodes)
 	case a.AMControllers < 1:
@@ -181,6 +196,9 @@ func (a *Arch) Validate() error {
 	return nil
 }
 
+// pow2 reports whether v is a positive power of two.
+func pow2(v int) bool { return v > 0 && v&(v-1) == 0 }
+
 // ItemsPerPage returns the number of items in one page (128 in the paper).
 func (a *Arch) ItemsPerPage() int { return a.PageSize / a.ItemSize }
 
@@ -189,6 +207,11 @@ func (a *Arch) AMFrames() int { return a.AMSize / a.PageSize }
 
 // AMSets returns the number of page-frame sets in one attraction memory.
 func (a *Arch) AMSets() int { return a.AMFrames() / a.AMWays }
+
+// CacheSets returns the number of sector sets in one processor cache.
+func (a *Arch) CacheSets() int {
+	return a.CacheSize / (a.CacheLineSize * a.CacheSectors * a.CacheWays)
+}
 
 // CacheLines returns the number of lines in one processor cache.
 func (a *Arch) CacheLines() int { return a.CacheSize / a.CacheLineSize }

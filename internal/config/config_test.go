@@ -127,6 +127,43 @@ func TestValidateCatchesBadGeometry(t *testing.T) {
 	}
 }
 
+func TestValidateRequiresBuildableGeometry(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(a *Arch)
+	}{
+		{"cache smaller than a set", func(a *Arch) { a.CacheSize = 512 }},
+		{"sectors not a power of two", func(a *Arch) { a.CacheSectors = 3 }},
+		{"cache does not tile", func(a *Arch) { a.CacheSize = 20 << 10 }},
+		{"cache set count not a power of two", func(a *Arch) { a.CacheSize = 3 * 128 << 10 }},
+		{"zero cache ways", func(a *Arch) { a.CacheWays = 0 }},
+		{"huge cache ways", func(a *Arch) { a.CacheWays = 1 << 62 }},
+		{"huge cache sectors", func(a *Arch) { a.CacheSectors = 1 << 62 }},
+		{"line not a power of two", func(a *Arch) { a.CacheLineSize = 48; a.ItemSize = 96; a.PageSize = 96 * 128 }},
+		{"item not a power of two", func(a *Arch) { a.ItemSize = 192 }},
+		{"page not a power of two", func(a *Arch) { a.PageSize = 3 * 128 }},
+		{"zero page size", func(a *Arch) { a.PageSize = 0 }},
+		{"zero AM size", func(a *Arch) { a.AMSize = 0 }},
+		{"zero AM ways", func(a *Arch) { a.AMWays = 0 }},
+		{"AM set count not a power of two", func(a *Arch) { a.AMSize = 48 * 16 << 10 }},
+	}
+	for _, tc := range cases {
+		a := KSR1(16)
+		tc.edit(&a)
+		if err := a.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", tc.name, a)
+		}
+	}
+	for _, a := range []Arch{KSR1(1), KSR1(16), KSR1(56), Modern(16), DSVM(8)} {
+		if err := a.Validate(); err != nil {
+			t.Errorf("preset rejected: %v", err)
+		}
+		if !pow2(a.CacheSets()) || !pow2(a.AMSets()) {
+			t.Errorf("preset set counts %d/%d are not powers of two", a.CacheSets(), a.AMSets())
+		}
+	}
+}
+
 func TestModernPresetScalesNetworkOnly(t *testing.T) {
 	k, m := KSR1(16), Modern(16)
 	if m.ClockHz != 5*k.ClockHz {

@@ -91,7 +91,7 @@ type Machine struct {
 	co       *core.Coordinator
 	counters []*stats.Node
 
-	oracle    *valueOracle
+	oracle    *proto.ValueOracle
 	genSnaps  []workload.Snapshot
 	ended     []bool
 	remaining int
@@ -212,7 +212,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 
 	if cfg.Oracle {
-		m.oracle = newValueOracle()
+		m.oracle = proto.NewValueOracle()
 		m.coh.SetReadChecker(m.checkRead)
 	}
 
@@ -336,12 +336,12 @@ func (m *Machine) fail(err error) {
 
 func (m *Machine) onWrite(n proto.NodeID, item proto.ItemID, value uint64) {
 	if m.oracle != nil {
-		m.oracle.write(item, value)
+		m.oracle.Write(item, value)
 	}
 }
 
 func (m *Machine) checkRead(n proto.NodeID, item proto.ItemID, value uint64) {
-	want := m.oracle.value(item)
+	want := m.oracle.Value(item)
 	if value != want {
 		m.fail(fmt.Errorf("machine: node %v read %#x from item %d, oracle says %#x",
 			n, value, item, want))
@@ -382,7 +382,7 @@ func (m *Machine) onCommit() {
 		m.genSnaps[i] = nd.Generator().Snapshot()
 	}
 	if m.oracle != nil {
-		m.oracle.commit()
+		m.oracle.Commit()
 	}
 	if m.cfg.Invariants {
 		if err := core.Check(m.coh, proto.AtCommit); err != nil {
@@ -395,12 +395,12 @@ func (m *Machine) onCommit() {
 func (m *Machine) onRollback(dropped []proto.ItemID, failures []core.Failure) {
 	if m.oracle != nil {
 		for _, it := range dropped {
-			if m.oracle.committed(it) != 0 {
+			if m.oracle.Committed(it) != 0 {
 				m.fail(fmt.Errorf("%w: item %d", ErrDataLoss, it))
 				return
 			}
 		}
-		m.oracle.rollback()
+		m.oracle.Rollback()
 	}
 	for i, nd := range m.nodes {
 		if !m.co.Alive(proto.NodeID(i)) {

@@ -289,7 +289,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		img := make(map[proto.ItemID]proto.NodeID)
-		for item, value := range m.oracle.all() {
+		for item, value := range m.oracle.All() {
 			img[item] = proto.NodeID(value >> 48) // the writer node
 		}
 		return img

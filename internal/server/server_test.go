@@ -101,6 +101,45 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitUnbuildableArchRejected pins that an architecture the cache
+// cannot be built from is a 400 at admission: before Arch.Validate
+// required the cache to tile, such a spec passed validation and crashed
+// the daemon when the job built its machine.
+func TestSubmitUnbuildableArchRejected(t *testing.T) {
+	var runs atomic.Int64
+	_, ts := newTestServer(t, Options{Workers: 1, Runner: func(id config.RunIdentity, _ RunOptions) (*stats.Run, error) {
+		runs.Add(1)
+		return fakeRun(id), nil
+	}})
+	for _, edit := range []func(a *config.Arch){
+		func(a *config.Arch) { a.CacheSize = 512 },
+		func(a *config.Arch) { a.CacheSectors = 3 },
+	} {
+		arch := config.KSR1(4)
+		edit(&arch)
+		raw, err := json.Marshal(arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := fmt.Sprintf(`{"app":"mp3d","protocol":"ecp","arch":%s}`, raw)
+		if resp, _ := postJob(t, ts, body, true); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("arch %+v: status = %d, want 400", arch, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list struct{ Jobs []JobStatus }
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Jobs) != 0 || runs.Load() != 0 {
+		t.Fatalf("rejected specs left %d jobs and %d runs", len(list.Jobs), runs.Load())
+	}
+}
+
 func TestQueueFullGets429WithRetryAfter(t *testing.T) {
 	gate := make(chan struct{})
 	_, ts := newTestServer(t, Options{

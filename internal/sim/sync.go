@@ -4,11 +4,15 @@ import "fmt"
 
 // Future is a one-shot completion carrying a value of type T. Processes
 // Await it; any number may wait; Complete wakes them all at the current
-// simulated time. Completing twice is a programming error.
+// simulated time. Completing twice is a programming error. A completed
+// future can be Reset for reuse, so a hot path can pool its futures.
 type Future[T any] struct {
-	done    bool
-	val     T
-	waiters []*Process
+	done bool
+	val  T
+	// first is the first waiter, held inline because almost every future
+	// has exactly one; more holds the rest in arrival order.
+	first *Process
+	more  []*Process
 }
 
 // NewFuture returns an incomplete future.
@@ -32,10 +36,30 @@ func (f *Future[T]) Complete(e *Engine, v T) {
 	}
 	f.done = true
 	f.val = v
-	for _, p := range f.waiters {
-		e.wakeNow(p)
+	if f.first != nil {
+		e.wakeNow(f.first)
+		f.first = nil
 	}
-	f.waiters = nil
+	for i, p := range f.more {
+		e.wakeNow(p)
+		f.more[i] = nil
+	}
+	f.more = f.more[:0]
+}
+
+// Reset makes a completed future incomplete again, for reuse. It panics
+// unless the future is done and has no waiters: resetting a future that
+// someone may still complete or await would hand that party a later
+// transaction's value. A pool should Reset a future when it takes it
+// out, not when it puts it back, so that a stray Complete of a pooled
+// future still panics as a second completion.
+func (f *Future[T]) Reset() {
+	if !f.done || f.first != nil || len(f.more) > 0 {
+		panic("sim: Reset of an incomplete or awaited future")
+	}
+	var zero T
+	f.done = false
+	f.val = zero
 }
 
 // Await blocks p until the future completes and returns its value.
@@ -43,7 +67,11 @@ func (f *Future[T]) Await(p *Process) T {
 	if f.done {
 		return f.val
 	}
-	f.waiters = append(f.waiters, p)
+	if f.first == nil {
+		f.first = p
+	} else {
+		f.more = append(f.more, p)
+	}
 	p.park()
 	if !f.done {
 		panic("sim: process woken before future completion")

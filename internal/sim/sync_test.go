@@ -63,6 +63,52 @@ func TestFutureDoubleCompletePanics(t *testing.T) {
 	f.Complete(e, 2)
 }
 
+func TestFutureResetReuses(t *testing.T) {
+	e := New()
+	f := NewFuture[int]()
+	var got []int
+	e.Spawn("w", func(p *Process) {
+		got = append(got, f.Await(p))
+		f.Reset()
+		got = append(got, f.Await(p))
+	})
+	e.At(3, func() { f.Complete(e, 1) })
+	e.At(5, func() { f.Complete(e, 2) })
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, []int{1, 2}) {
+		t.Fatalf("values = %v, want [1 2]", got)
+	}
+}
+
+func TestFutureResetIncompletePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Reset of an incomplete future did not panic")
+		}
+	}()
+	NewFuture[int]().Reset()
+}
+
+func TestFutureResetAwaitedPanics(t *testing.T) {
+	e := New()
+	f := NewFuture[int]()
+	e.Spawn("w", func(p *Process) { f.Await(p) })
+	e.At(1, func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Reset of an awaited future did not panic")
+			}
+			f.Complete(e, 1)
+		}()
+		f.Reset()
+	})
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestResourceSerialisesFIFO(t *testing.T) {
 	e := New()
 	r := NewResource("unit", 1)

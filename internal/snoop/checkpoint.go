@@ -50,10 +50,7 @@ func (m *Machine) coordinator(p *sim.Process) {
 			m.genSnaps[i] = g.Snapshot()
 		}
 		if m.oracle != nil {
-			m.committed = make(map[proto.ItemID]uint64, len(m.oracle))
-			for k, v := range m.oracle {
-				m.committed[k] = v
-			}
+			m.oracle.Commit()
 		}
 		if err := m.Check(proto.AtCommit); err != nil {
 			m.fail(fmt.Errorf("snoop: at commit: %w", err))
@@ -210,10 +207,7 @@ func (m *Machine) recover(p *sim.Process, f proto.NodeID) {
 
 	// Rollback: oracle and generators rewind to the last recovery point.
 	if m.oracle != nil {
-		m.oracle = make(map[proto.ItemID]uint64, len(m.committed))
-		for k, v := range m.committed {
-			m.oracle[k] = v
-		}
+		m.oracle.Rollback()
 	}
 	for i, g := range m.gens {
 		g.Restore(m.genSnaps[i])

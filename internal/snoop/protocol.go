@@ -331,7 +331,7 @@ func (m *Machine) placeCopy(p *sim.Process, n proto.NodeID, item proto.ItemID,
 // record notes a completed store in the oracle.
 func (m *Machine) record(item proto.ItemID, value uint64) {
 	if m.oracle != nil {
-		m.oracle[item] = value
+		m.oracle.Write(item, value)
 	}
 }
 
@@ -340,7 +340,7 @@ func (m *Machine) verify(n proto.NodeID, item proto.ItemID, value uint64) {
 	if m.oracle == nil {
 		return
 	}
-	if want := m.oracle[item]; want != value {
+	if want := m.oracle.Value(item); want != value {
 		m.fail(fmt.Errorf("snoop: node %v read %#x from item %d, oracle says %#x", n, value, item, want))
 	}
 }

@@ -65,9 +65,8 @@ type Machine struct {
 	// Global first-touch registry (anchor frames, as on the mesh).
 	anchors map[proto.PageID]bool
 
-	oracle    map[proto.ItemID]uint64
-	committed map[proto.ItemID]uint64
-	genSnaps  []workload.Snapshot
+	oracle   *proto.ValueOracle
+	genSnaps []workload.Snapshot
 
 	pause     bool
 	quiesce   *sim.Barrier
@@ -142,8 +141,7 @@ func New(cfg Config) (*Machine, error) {
 		}
 	}
 	if cfg.Oracle {
-		m.oracle = make(map[proto.ItemID]uint64)
-		m.committed = make(map[proto.ItemID]uint64)
+		m.oracle = proto.NewValueOracle()
 	}
 	if cfg.Obs != nil {
 		m.obs = cfg.Obs
